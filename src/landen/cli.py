@@ -32,6 +32,11 @@ from .sine_gordon import (NoClosedFormError, SolutionFamily, SolutionKind,
 M_GRID = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
 TABLE_M_DEFAULT = (0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 0.9999, 0.99999, 1.0)
 
+# Reason given by verify and sg-check when fewer than two samples survive:
+# psi never leaves the excluded |psi| ~ 1 band (tiny transformed parameter),
+# so the first integral C is not measurable.
+C_NOT_MEASURABLE = "psi stays within 1e-6 of 1; first integral not measurable"
+
 _KIND_BY_FAMILY_PARITY = {
     ("dn", True): SolutionKind.DN_ODD,
     ("dn", False): SolutionKind.DN_EVEN,
@@ -174,11 +179,8 @@ def _sine_gordon_records(tol: float):
                 fam = SolutionFamily(kind, p, m)
                 values = first_integral_samples(fam, default_samples(fam))
                 if values.size < 2:
-                    # psi never leaves the excluded |psi| ~ 1 band (tiny
-                    # transformed parameter); C is not measurable there
                     records.append({"check": f"c-route-{kind.value}", "p": p,
-                                    "m": m, "skipped": "psi stays within 1e-6 "
-                                    "of 1; first integral not measurable"})
+                                    "m": m, "skipped": C_NOT_MEASURABLE})
                     continue
                 c = float(values.mean())
                 scale = max(1.0, abs(c))
@@ -236,6 +238,10 @@ def cmd_sg_check(args) -> int:
     try:
         fam = SolutionFamily(kind, args.p, args.m)
         values = first_integral_samples(fam, default_samples(fam))
+        if values.size < 2:
+            _emit(_json_doc({"status": "Degenerate", "reason": C_NOT_MEASURABLE}),
+                  args.out)
+            return 2
         c = float(values.mean())
         spread = float(values.max() - values.min())
         verdict = classify(c)

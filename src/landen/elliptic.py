@@ -8,7 +8,9 @@ chain.  Both are quadratically convergent and carry no tabulated data.
 A structurally independent slow path, :func:`jacobi_oracle`, inverts the
 defining integral ``F(phi) = int_0^phi dt / sqrt(1 - m sin^2 t)`` by
 root-finding on adaptive quadrature.  It exists so the fast path can be
-cross-validated without trusting any shared code.
+cross-validated without trusting any shared code.  It is the only user of
+scipy, which it imports on its first call: importing this module (or
+``landen`` and ``landen.cli``) loads numpy alone.
 
 Conventions: the parameter is ``m = k^2`` with ``0 <= m <= 1``; arguments
 are real.  Everything here is a pure function and safe to call from any
@@ -22,8 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 __all__ = [
     "EllipticTriple",
@@ -132,8 +132,10 @@ def jacobi_eval(x, m, *, dtype=np.float64):
         dn <- (1 - k1 s^2) / (1 + k1 s^2),
 
     starting from the circular values at the deepest (vanishing-modulus)
-    level.  Measured absolute error stays below 1e-13 on |x| <= 8 K(m)
-    for the whole admissible range, and below ~6e-15 for m <= 0.9999.
+    level.  The quarter period K = pi / (2 a_n) that folds the argument
+    comes from the same AGM chain, so each call builds the chain once.
+    Measured absolute error stays below 1e-13 on |x| <= 8 K(m) for the
+    whole admissible range, and below ~6e-15 for m <= 0.9999.
 
     m = 0 and m = 1 are exact branches (circular and hyperbolic limits);
     parameters within 1e-12 of 1 are clamped to the m = 1 branch and a
@@ -172,9 +174,9 @@ def jacobi_eval(x, m, *, dtype=np.float64):
         sech = one / np.cosh(x)
         sn, cn, dn = np.tanh(x), sech, sech.copy()
     else:
-        big_k = complete_elliptic_k(m, dtype=dtype)
         a, c, n = _agm_chain(m, dtype)
         two, four = dtype.type(2), dtype.type(4)
+        big_k = _PI[dtype] / (two * a[n])
         r = x - four * big_k * np.floor(x / (four * big_k))
         sgn = np.where(r >= two * big_k, -one, one)
         r = np.where(r >= two * big_k, r - two * big_k, r)
@@ -206,6 +208,8 @@ def _integrand(theta, m):
 
 
 def _incomplete_f(phi, m):
+    from scipy.integrate import quad
+
     value, _ = quad(_integrand, 0.0, phi, args=(m,),
                     epsabs=1e-15, epsrel=1e-13, limit=200)
     return value
@@ -248,6 +252,8 @@ def jacobi_oracle(x, m):
     elif r == big_k:
         phi = 0.5 * np.pi
     else:
+        from scipy.optimize import brentq
+
         phi = brentq(lambda p: _incomplete_f(p, m) - r, 0.0, 0.5 * np.pi,
                      xtol=1e-15, rtol=8.9e-16)
     sn = np.sin(phi)

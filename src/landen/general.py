@@ -228,6 +228,21 @@ def coefficients(spec: LandenSpec, m) -> LandenCoefficients:
                               arg_scale=float(raw.arg_scale))
 
 
+def _shifted_eval(args, shifts, m, dtype=_LD):
+    """(sn, cn, dn) at args + shifts[i] for every shift, in one call.
+
+    Row i of each returned array (shape ``(p,) + args.shape``) is the i-th
+    shifted term, so row-ordered sums and products keep the term order.
+    """
+    grid = args + shifts.reshape((-1,) + (1,) * np.ndim(args))
+    return jacobi_eval(grid, m, dtype=dtype)
+
+
+def _alternate(rows):
+    """Rows with every odd-indexed one negated: the (-1)^i term signs."""
+    return [-row if i % 2 else row for i, row in enumerate(rows)]
+
+
 def _rhs_from_raw(raw, spec, m, x, dtype=_LD):
     if not (np.isfinite(float(raw.alpha)) and np.isfinite(float(raw.arg_scale))
             and np.isfinite(float(raw.step))):
@@ -236,27 +251,23 @@ def _rhs_from_raw(raw, spec, m, x, dtype=_LD):
             f"p = {spec.p}: coefficients degenerate at this boundary")
     family, p, odd = spec.family, spec.p, spec.odd
     x = np.asarray(x, dtype=dtype)
-    args = raw.arg_scale * x
     shifts = raw.step * np.arange(p, dtype=dtype)
+    sn, cn, dn = _shifted_eval(raw.arg_scale * x, shifts, m, dtype)
 
     if family is Family.SN and not odd:
         prod = np.ones_like(x)
-        for i in range(p):
-            prod = prod * jacobi_eval(args + shifts[i], m, dtype=dtype).sn
+        for row in sn:
+            prod = prod * row
         return prod / (raw.a_sum * raw.alpha)
 
-    terms = []
-    for i in range(p):
-        triple = jacobi_eval(args + shifts[i], m, dtype=dtype)
-        if family is Family.DN:
-            t = triple.dn
-        elif family is Family.CN and odd:
-            t = triple.cn
-        elif family is Family.CN:
-            t = triple.dn if i % 2 == 0 else -triple.dn
-        else:
-            t = triple.sn
-        terms.append(t)
+    if family is Family.DN:
+        terms = dn
+    elif family is Family.CN and odd:
+        terms = cn
+    elif family is Family.CN:
+        terms = _alternate(dn)
+    else:
+        terms = sn
     return raw.alpha * _csum(terms)
 
 

@@ -36,8 +36,9 @@ from enum import Enum
 
 import numpy as np
 
-from .elliptic import complete_elliptic_k, jacobi_eval
-from .general import Family, LandenSpec, _csum, _raw_coefficients
+from .elliptic import complete_elliptic_k
+from .general import (Family, LandenSpec, _alternate, _csum, _raw_coefficients,
+                      _shifted_eval)
 
 __all__ = [
     "SolutionKind",
@@ -212,35 +213,29 @@ def _psi_and_derivative(fam, x):
         return np.tanh(x), sech * sech
 
     m, p = fam.m, fam.p
-    args = pieces.inner * x
-    triples = [jacobi_eval(args + pieces.shifts[i], m, dtype=_LD) for i in range(p)]
+    sn, cn, dn = _shifted_eval(pieces.inner * x, pieces.shifts, m)
 
     if pieces.mode == "product":
         prod = np.ones_like(x)
-        for t in triples:
-            prod = prod * t.sn
+        for row in sn:
+            prod = prod * row
         dterms = []
         for j in range(p):
-            term = triples[j].cn * triples[j].dn
+            term = cn[j] * dn[j]
             for k in range(p):
                 if k != j:
-                    term = term * triples[k].sn
+                    term = term * sn[k]
             dterms.append(term)
         return pieces.prefactor * prod, pieces.prefactor * pieces.inner * _csum(dterms)
 
-    md = _LD.type(m)
-    vals, derivs = [], []
-    for i, t in enumerate(triples):
-        sign = _LD.type(-1 if (pieces.alternating and i % 2 == 1) else 1)
-        if pieces.term == "dn":
-            vals.append(sign * t.dn)
-            derivs.append(sign * (-md) * t.sn * t.cn)
-        elif pieces.term == "cn":
-            vals.append(sign * t.cn)
-            derivs.append(sign * (-t.sn) * t.dn)
-        else:
-            vals.append(sign * t.sn)
-            derivs.append(sign * t.cn * t.dn)
+    if pieces.term == "dn":
+        vals, derivs = dn, (-_LD.type(m)) * sn * cn
+    elif pieces.term == "cn":
+        vals, derivs = cn, (-sn) * dn
+    else:
+        vals, derivs = sn, cn * dn
+    if pieces.alternating:
+        vals, derivs = _alternate(vals), _alternate(derivs)
     psi = pieces.prefactor * _csum(vals)
     dpsi = pieces.prefactor * pieces.inner * _csum(derivs)
     return psi, dpsi

@@ -3,11 +3,12 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 from numpy.testing import assert_allclose
 
-from landen.cli import format_sig4, main
+from landen.cli import C_NOT_MEASURABLE, format_sig4, main
 from landen.elliptic import complete_elliptic_k
 
 
@@ -203,6 +204,19 @@ class TestSgCheck:
                                "--m", "1e-12")
         assert code == 2
         assert json.loads(out)["status"] == "Degenerate"
+
+    # the dn cells of p 2..7 x M_GRID whose samples all sit in the |psi| ~ 1
+    # band; verify writes a c-route skip record for each
+    @pytest.mark.parametrize("p,m", [(4, 0.1), (4, 0.25), (5, 0.1), (5, 0.25),
+                                     (6, 0.1), (6, 0.25), (6, 0.5), (7, 0.1),
+                                     (7, 0.25), (7, 0.5), (7, 0.75)])
+    def test_unmeasurable_first_integral_is_degenerate(self, capsys, p, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "sg-check", "--family", "dn",
+                                     "--p", str(p), "--m", str(m))
+        assert code == 2 and err == ""
+        assert json.loads(out) == {"status": "Degenerate", "reason": C_NOT_MEASURABLE}
 
 
 def test_module_entry_point():

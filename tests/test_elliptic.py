@@ -1,5 +1,10 @@
 """Tests for the elliptic core: K(m), the fast triple, the slow oracle."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -151,6 +156,17 @@ class TestJacobiEval:
         assert np.ndim(one.sn) == 0
         assert one.sn == arr.sn[1] and one.dn == arr.dn[1]
 
+    @pytest.mark.parametrize("dtype", (np.float64, np.longdouble))
+    @pytest.mark.parametrize("m", (0.0, 0.3, 0.9, 0.999999, 1.0))
+    def test_2d_argument_equals_row_by_row(self, m, dtype):
+        big_k = complete_elliptic_k(min(m, 0.999999))
+        x = np.random.default_rng(7).uniform(-8 * big_k, 8 * big_k, (5, 37))
+        grid = jacobi_eval(x, m, dtype=dtype)
+        for i, row in enumerate(x):
+            one = jacobi_eval(row, m, dtype=dtype)
+            for name in ("sn", "cn", "dn"):
+                assert np.array_equal(getattr(grid, name)[i], getattr(one, name))
+
     def test_large_argument_consistent_with_periodicity(self):
         m = 0.75
         big_k = complete_elliptic_k(m)
@@ -218,6 +234,24 @@ class TestJacobiOracle:
             jacobi_oracle(np.nan, 0.5)
         with pytest.raises(ValueError):
             jacobi_oracle(1.0, -1.0)
+
+
+def test_cold_import_loads_no_scipy():
+    # scipy is imported only by jacobi_oracle, on its first call
+    script = (
+        "import sys\n"
+        "import landen, landen.cli, landen.elliptic\n"
+        "loaded = [k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')]\n"
+        "assert not loaded, loaded[:5]\n"
+        "from landen.elliptic import jacobi_eval, jacobi_oracle\n"
+        "a, b = jacobi_oracle(0.7, 0.5), jacobi_eval(0.7, 0.5)\n"
+        "assert max(abs(u - v) for u, v in zip(a, b)) < 1e-13, (a, b)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run([sys.executable, "-c", script],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 class TestModulusParameter:

@@ -7,10 +7,14 @@ from numpy.testing import assert_allclose
 from landen.classic import classic_dn_two_term, classic_m_tilde
 from landen.elliptic import complete_elliptic_k, jacobi_eval
 from landen.general import (AlternatingSumDegenerateError, Family, LandenSpec,
-                            a5_product, coefficients, m_tilde_closed_p3,
-                            m_tilde_closed_p4, transform_rhs, verify_identity)
+                            _csum, _raw_coefficients, _rhs_from_raw, a5_product,
+                            coefficients,
+                            m_tilde_closed_p3, m_tilde_closed_p4, transform_rhs,
+                            verify_identity)
 
 ALL_FAMILIES = (Family.DN, Family.CN, Family.SN)
+M_GRID = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
+LD = np.longdouble
 
 
 def spec(family, p):
@@ -132,6 +136,49 @@ class TestTransformRhs:
             transform_rhs(spec(Family.SN, 3), 0.0, 0.3)
         with pytest.raises(ValueError):
             transform_rhs(spec(Family.DN, 3), 1.0, 0.3)
+
+
+def rhs_per_term(s, m, x):
+    """The extended-precision p-term side with one jacobi_eval call per
+    shifted term, summed and multiplied in term order: the reference for
+    the broadcast evaluation."""
+    raw = _raw_coefficients(s, m)
+    x = np.asarray(x, dtype=LD)
+    args = raw.arg_scale * x
+    shifts = raw.step * np.arange(s.p, dtype=LD)
+    triples = [jacobi_eval(args + shifts[i], m, dtype=LD) for i in range(s.p)]
+    if s.family is Family.SN and not s.odd:
+        prod = np.ones_like(x)
+        for t in triples:
+            prod = prod * t.sn
+        value = prod / (raw.a_sum * raw.alpha)
+    else:
+        terms = []
+        for i, t in enumerate(triples):
+            if s.family is Family.DN:
+                terms.append(t.dn)
+            elif s.family is Family.CN and s.odd:
+                terms.append(t.cn)
+            elif s.family is Family.CN:
+                terms.append(t.dn if i % 2 == 0 else -t.dn)
+            else:
+                terms.append(t.sn)
+        value = raw.alpha * _csum(terms)
+    return value
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_transform_rhs_bitwise_equals_per_term_loop(family):
+    xs = np.linspace(-5.0, 9.0, 23)
+    for p in range(2, 8):
+        for m in M_GRID:
+            s = spec(family, p)
+            raw = _raw_coefficients(s, m)
+            for x in (xs, 0.37):
+                ref = rhs_per_term(s, m, x)
+                assert np.array_equal(_rhs_from_raw(raw, s, m, x), ref)
+                assert np.array_equal(transform_rhs(s, m, x),
+                                      np.asarray(ref, dtype=np.float64))
 
 
 class TestVerifyIdentity:

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from landen.general import AlternatingSumDegenerateError, coefficients
+from landen.elliptic import jacobi_eval
+from landen.general import AlternatingSumDegenerateError, _csum, coefficients
 from landen.sine_gordon import (Branch, FirstIntegralValue, NoClosedFormError,
                                 SignConvention, SolutionFamily, SolutionKind,
-                                classify, closed_form_c, default_samples,
+                                _pieces, _psi_and_derivative, classify, closed_form_c, default_samples,
                                 first_integral, first_integral_samples,
                                 ode_residual, psi_derivative, psi_value,
                                 solution_period)
+
+LD = np.longdouble
 
 # one moderate (p, m) cell per kind; transformed parameters stay large
 # enough that the removable |psi| = 1 singularity leaves plenty of samples
@@ -84,6 +87,61 @@ class TestPsi:
             assert value.c == -2.0
             assert classify(value).m_tilde == 0.0
             assert ode_residual(fam, 256).max_abs == 0.0
+
+
+def psi_per_term(fam, x):
+    """Extended-precision psi and d(psi)/dx with one jacobi_eval call per
+    shifted term, summed and multiplied in term order: the reference for
+    the broadcast evaluation."""
+    pieces = _pieces(fam)
+    x = np.asarray(x, dtype=LD)
+    args = pieces.inner * x
+    triples = [jacobi_eval(args + pieces.shifts[i], fam.m, dtype=LD)
+               for i in range(fam.p)]
+    if pieces.mode == "product":
+        prod = np.ones_like(x)
+        for t in triples:
+            prod = prod * t.sn
+        dterms = []
+        for j in range(fam.p):
+            term = triples[j].cn * triples[j].dn
+            for k in range(fam.p):
+                if k != j:
+                    term = term * triples[k].sn
+            dterms.append(term)
+        psi, dpsi = pieces.prefactor * prod, pieces.prefactor * pieces.inner * _csum(dterms)
+    else:
+        md = LD(fam.m)
+        vals, derivs = [], []
+        for i, t in enumerate(triples):
+            sign = LD(-1 if (pieces.alternating and i % 2 == 1) else 1)
+            if pieces.term == "dn":
+                vals.append(sign * t.dn)
+                derivs.append(sign * (-md) * t.sn * t.cn)
+            elif pieces.term == "cn":
+                vals.append(sign * t.cn)
+                derivs.append(sign * (-t.sn) * t.dn)
+            else:
+                vals.append(sign * t.sn)
+                derivs.append(sign * t.cn * t.dn)
+        psi = pieces.prefactor * _csum(vals)
+        dpsi = pieces.prefactor * pieces.inner * _csum(derivs)
+    return psi, dpsi
+
+
+@pytest.mark.parametrize("kind", list(SolutionKind))
+def test_psi_bitwise_equals_per_term_loop(kind):
+    odd = kind in (SolutionKind.DN_ODD, SolutionKind.CN_ODD, SolutionKind.SN_ODD)
+    for p in (3, 5, 7) if odd else (2, 4, 6):
+        for m in (0.1, 0.25, 0.5, 0.75, 0.9, 0.99):
+            fam = SolutionFamily(kind, p, m)
+            for x in (default_samples(fam), 0.37):
+                psi, dpsi = psi_per_term(fam, x)
+                new_psi, new_dpsi = _psi_and_derivative(fam, x)
+                assert np.array_equal(new_psi, psi) and np.array_equal(new_dpsi, dpsi)
+                f64 = np.float64
+                assert np.array_equal(psi_value(fam, x), np.asarray(psi, dtype=f64))
+                assert np.array_equal(psi_derivative(fam, x), np.asarray(dpsi, dtype=f64))
 
 
 class TestFirstIntegral:
