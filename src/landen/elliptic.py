@@ -15,10 +15,18 @@ scipy, which it imports on its first call: importing this module (or
 Conventions: the parameter is ``m = k^2`` with ``0 <= m <= 1``; arguments
 are real.  Everything here is a pure function and safe to call from any
 thread.
+
+Large arrays are split over the CPUs the process may use: from 16384
+points on, :func:`jacobi_eval` hands 8192-point chunks to the calling
+thread and one short-lived helper thread per further CPU, joined before it
+returns.  The results are bit-identical to serial evaluation.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -47,8 +55,15 @@ _AGM_MAX_ITER = 32
 _PI = {np.dtype(np.float64): np.float64(np.pi),
        np.dtype(np.longdouble): np.longdouble("3.14159265358979323846264338327950288420")}
 
-_AGM_RTOL = {np.dtype(np.float64): 1e-16,
-             np.dtype(np.longdouble): float(np.finfo(np.longdouble).eps)}
+# Stopping at machine epsilon, not below it: a tighter tolerance never
+# holds once a and b settle an ulp apart, and the chain would run to the cap.
+_AGM_RTOL = {dt: float(np.finfo(dt).eps) for dt in _PI}
+
+# Arrays of at least _SPLIT_MIN points are evaluated in _CHUNK-point pieces
+# spread over the CPUs: 8192 points keep a piece's temporaries in cache,
+# and the threshold leaves every smaller call on the plain serial path.
+_CHUNK = 8192
+_SPLIT_MIN = 2 * _CHUNK
 
 
 class ModulusClampWarning(UserWarning):
@@ -141,10 +156,18 @@ def jacobi_eval(x, m, *, dtype=np.float64):
     parameters within 1e-12 of 1 are clamped to the m = 1 branch and a
     ModulusClampWarning records the clamp.
 
+    Arrays of 16384 points or more (with 0 < m < 1) are split into chunks
+    of 8192 points that the calling thread and one extra thread per further
+    CPU the process may use evaluate side by side; the threads are joined
+    before the call returns.  Every step is elementwise, so the result is
+    bit-for-bit the one a single serial pass gives.
+
     Parameters
     ----------
     x : float or array_like
-        Finite real argument(s).
+        Finite real argument(s).  For 0 < m < 1 in the extended dtype they
+        must also lie within the float64 range, where the quadrant quotient
+        is taken.
     m : float
         Parameter in [0, 1].
     dtype : numpy dtype, optional
@@ -174,33 +197,110 @@ def jacobi_eval(x, m, *, dtype=np.float64):
         sech = one / np.cosh(x)
         sn, cn, dn = np.tanh(x), sech, sech.copy()
     else:
-        a, c, n = _agm_chain(m, dtype)
-        two, four = dtype.type(2), dtype.type(4)
-        big_k = _PI[dtype] / (two * a[n])
-        r = x - four * big_k * np.floor(x / (four * big_k))
-        sgn = np.where(r >= two * big_k, -one, one)
-        r = np.where(r >= two * big_k, r - two * big_k, r)
-        refl = r > big_k
-        r = np.where(refl, two * big_k - r, r)
-        cn_flip = np.where(refl, -one, one)
-
-        z = a[n] * r
-        sn, cn, dn = np.sin(z), np.cos(z), np.ones_like(z)
-        for i in range(n, 0, -1):
-            k1 = c[i] / a[i]
-            num = k1 * sn * sn
-            den = one + num
-            sn = (one + k1) * sn / den
-            cn = cn * dn / den
-            dn = (one - num) / den
-        sn = sgn * sn
-        cn = sgn * cn_flip * cn
+        chain = _agm_chain(m, dtype)
+        if x.size < _SPLIT_MIN:
+            sn, cn, dn = _landen_kernel(x, *chain)
+        else:
+            sn, cn, dn = _split_eval(x, chain)
 
     if scalar:
         if dtype == np.float64:
             return EllipticTriple(float(sn[()]), float(cn[()]), float(dn[()]))
         return EllipticTriple(sn[()], cn[()], dn[()])
     return EllipticTriple(sn, cn, dn)
+
+
+def _landen_kernel(x, a, c, n):
+    """(sn, cn, dn) at x (any shape) from the AGM chain (a, c, n) of m.
+
+    The quadrant quotient floor(x / 4K) is taken in float64, where floor
+    is cheap; the reduction itself stays in the working dtype.  A quotient
+    that rounds across an integer leaves r a rounding error outside
+    [0, 4K), where the folds and the recursion are still exact.
+    """
+    dtype = x.dtype
+    one, two, four = dtype.type(1), dtype.type(2), dtype.type(4)
+    big_k = _PI[dtype] / (two * a[n])
+    four_k = four * big_k
+    x64 = x
+    if dtype != np.float64:
+        with np.errstate(over="ignore"):
+            x64 = x.astype(np.float64)
+        if not np.all(np.isfinite(x64)):
+            raise ValueError("argument x must lie within the float64 range")
+    q = np.floor(x64 / np.float64(four_k))
+    r = x - four_k * q
+    upper = r >= two * big_k
+    sgn = np.where(upper, -one, one)
+    r = np.where(upper, r - two * big_k, r)
+    refl = r > big_k
+    r = np.where(refl, two * big_k - r, r)
+    cn_flip = np.where(refl, -one, one)
+
+    z = a[n] * r
+    sn, cn, dn = np.sin(z), np.cos(z), np.ones_like(z)
+    for i in range(n, 0, -1):
+        k1 = c[i] / a[i]
+        num = k1 * sn * sn
+        den = one + num
+        sn = (one + k1) * sn / den
+        cn = cn * dn / den
+        dn = (one - num) / den
+    return sgn * sn, sgn * cn_flip * cn, dn
+
+
+def _worker_count():
+    """CPUs this process may run on (the affinity mask where there is one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _split_eval(x, chain):
+    """_landen_kernel over x in _CHUNK-point pieces on up to one thread per CPU.
+
+    Chunks are handed out from a shared counter to the calling thread and
+    its helpers, each of which runs in a copy of the caller's context (so
+    np.errstate applies to it).  numpy releases the GIL inside its loops,
+    so the helpers compute in parallel.  The first exception raised in any
+    chunk stops the hand-out and is re-raised here once every helper has
+    been joined, so partly written output is never returned.
+    """
+    flat = x.reshape(-1)
+    sn, cn, dn = (np.empty_like(flat) for _ in range(3))
+    n_chunks = -(-flat.size // _CHUNK)
+    lock = threading.Lock()
+    issued = [0]
+    errors = []
+
+    def work():
+        try:
+            while True:
+                with lock:
+                    i = issued[0]
+                    if errors or i == n_chunks:
+                        return
+                    issued[0] = i + 1
+                piece = slice(i * _CHUNK, (i + 1) * _CHUNK)
+                sn[piece], cn[piece], dn[piece] = _landen_kernel(flat[piece], *chain)
+        except BaseException as exc:  # handed to the caller below
+            with lock:
+                errors.append(exc)
+
+    helpers = []
+    try:
+        for _ in range(min(_worker_count(), n_chunks) - 1):
+            helper = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
+    return sn.reshape(x.shape), cn.reshape(x.shape), dn.reshape(x.shape)
 
 
 def _integrand(theta, m):

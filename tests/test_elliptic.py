@@ -3,6 +3,9 @@
 import os
 import subprocess
 import sys
+import threading
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
+from landen import elliptic
 from landen.elliptic import (ModulusClampWarning, ModulusParameter,
                              complete_elliptic_k, jacobi_eval, jacobi_oracle)
 
@@ -197,6 +201,207 @@ class TestJacobiEval:
         assert_allclose(dn, dn_ref, atol=1e-9)
 
 
+def test_agm_chain_depth_is_bounded():
+    # A stopping tolerance below the dtype's epsilon never holds once a and
+    # b settle an ulp apart, and the chain ran to its 32-level cap.
+    grid = np.concatenate([np.linspace(0.0, 1.0 - 1e-12, 4001),
+                           1.0 - np.geomspace(1e-12, 1e-2, 400),
+                           np.geomspace(1e-300, 1e-2, 400), [0.5, 0.9]])
+    for dtype, bound in ((np.float64, 7), (np.longdouble, 8)):
+        depth = max(elliptic._agm_chain(m, np.dtype(dtype))[2] for m in grid)
+        assert depth <= bound, (dtype, depth)
+
+
+def serial(x, m, dtype):
+    """The unsplit kernel on the whole array: the split path's reference."""
+    x = np.asarray(x, dtype=dtype)
+    return elliptic._landen_kernel(x, *elliptic._agm_chain(m, np.dtype(dtype)))
+
+
+def assert_triples_equal(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+class TestSplitEvaluation:
+    SIZES = (elliptic._SPLIT_MIN - 1, elliptic._SPLIT_MIN, elliptic._SPLIT_MIN + 1,
+             3 * elliptic._CHUNK + 1000, 100_000)
+
+    @pytest.mark.parametrize("dtype", (np.float64, np.longdouble))
+    @pytest.mark.parametrize("m", M_GRID)
+    def test_bit_identical_to_serial(self, m, dtype, monkeypatch):
+        splits = []
+        split_eval = elliptic._split_eval
+        monkeypatch.setattr(elliptic, "_split_eval",
+                            lambda x, chain: splits.append(x.size) or split_eval(x, chain))
+        big_k = complete_elliptic_k(m)
+        rng = np.random.default_rng(11)
+        for size in self.SIZES:
+            x = rng.uniform(-8 * big_k, 8 * big_k, size)
+            assert_triples_equal(jacobi_eval(x, m, dtype=dtype), serial(x, m, dtype))
+        assert splits == [n for n in self.SIZES if n >= elliptic._SPLIT_MIN]
+        for shape in ((250, 400), (7, 3 * elliptic._CHUNK // 7 + 5)):
+            x = rng.uniform(-8 * big_k, 8 * big_k, shape)
+            assert_triples_equal(jacobi_eval(x, m, dtype=dtype), serial(x, m, dtype))
+            # a non-contiguous view takes the flatten-copy
+            assert_triples_equal(jacobi_eval(x.T, m, dtype=dtype), serial(x.T, m, dtype))
+
+    @pytest.mark.parametrize("dtype", (np.float64, np.longdouble))
+    @pytest.mark.parametrize("m", M_GRID)
+    def test_quadrant_edges(self, m, dtype):
+        # x = jK and its neighbours a few ulp away, where the float64 quotient
+        # floor(x / 4K) can round across an integer.
+        from scipy.special import ellipj
+        a, _, n = elliptic._agm_chain(m, np.dtype(dtype))
+        big_k = elliptic._PI[np.dtype(dtype)] / (2 * a[n])
+        x = []
+        for j in range(-16, 17):
+            lo = hi = dtype(j) * big_k
+            x.append(lo)
+            for _ in range(4):
+                lo, hi = np.nextafter(lo, dtype(-np.inf)), np.nextafter(hi, dtype(np.inf))
+                x += [lo, hi]
+        x = np.array(x, dtype=dtype)
+        four_k = 4 * big_k
+        exact_q = np.floor(x.astype(np.longdouble) / np.longdouble(four_k))
+        rounded_q = np.floor(x.astype(np.float64) / np.float64(four_k))
+        assert np.any(exact_q != rounded_q)  # the grid reaches the rounding case
+
+        got = jacobi_eval(x, m, dtype=dtype)
+        want = ellipj(x.astype(np.float64), m)
+        shifted = jacobi_eval(x + four_k, m, dtype=dtype)
+        for name, ref, per in zip(("sn", "cn", "dn"), want, shifted):
+            value = getattr(got, name)
+            assert np.max(np.abs(value - ref)) < 2e-14, name
+            assert np.max(np.abs(value - per)) < 2e-14, name
+
+    @pytest.mark.parametrize("dtype", (np.float64, np.longdouble))
+    @pytest.mark.parametrize("size", (5, elliptic._SPLIT_MIN + 3))
+    def test_huge_arguments_stay_bounded(self, size, dtype):
+        x = np.resize(np.array([1e300, -1e300, 3.7e299, -1e200]), size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in M_GRID:
+                for value in jacobi_eval(x, m, dtype=dtype):
+                    assert np.all(np.isfinite(value))
+                    assert np.all(np.abs(value) <= 1)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(np.float64).max,
+                        reason="longdouble has no range beyond float64")
+    @pytest.mark.parametrize("size", (3, elliptic._SPLIT_MIN + 3))
+    def test_extended_argument_beyond_float64_range_raises(self, size):
+        x = np.zeros(size, dtype=np.longdouble)
+        x[1] = np.longdouble("1e400")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="float64 range"):
+                jacobi_eval(x, 0.5, dtype=np.longdouble)
+
+    @pytest.mark.parametrize("where", ("caller", "helper"))
+    def test_worker_exception_reaches_caller(self, where, monkeypatch):
+        # The failing chunk runs on the named thread; the others are slowed so
+        # that the helper takes chunks even on one CPU.
+        kernel = elliptic._landen_kernel
+        caller = threading.get_ident()
+        failed = []
+
+        def flaky(x, *chain):
+            on_caller = threading.get_ident() == caller
+            if on_caller == (where == "caller") and not failed:
+                failed.append(True)
+                raise ArithmeticError("chunk failed")
+            time.sleep(0.002)
+            return kernel(x, *chain)
+
+        monkeypatch.setattr(elliptic, "_worker_count", lambda: 2)
+        monkeypatch.setattr(elliptic, "_landen_kernel", flaky)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="chunk failed"):
+            jacobi_eval(np.linspace(0.0, 50.0, 100_000), 0.5)
+        assert failed and threading.active_count() == before
+
+    def test_failed_thread_start_joins_the_started_helpers(self, monkeypatch):
+        real_thread = threading.Thread
+        started = []
+
+        class SecondStartFails(real_thread):
+            def start(self):
+                if started:
+                    raise RuntimeError("can't start new thread")
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(elliptic, "_worker_count", lambda: 3)
+        monkeypatch.setattr(threading, "Thread", SecondStartFails)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            jacobi_eval(np.linspace(0.0, 50.0, 100_000), 0.5, dtype=np.longdouble)
+        assert len(started) == 1 and not started[0].is_alive()
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        class NoThread:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a thread was started with one worker")
+
+        x = np.random.default_rng(5).uniform(-30.0, 30.0, 3 * elliptic._CHUNK + 17)
+        want = [serial(x, 0.75, dt) for dt in (np.float64, np.longdouble)]
+        monkeypatch.setattr(elliptic, "_worker_count", lambda: 1)
+        monkeypatch.setattr(threading, "Thread", NoThread)
+        for dtype, ref in zip((np.float64, np.longdouble), want):
+            assert_triples_equal(jacobi_eval(x, 0.75, dtype=dtype), ref)
+
+    def test_worker_count_is_the_affinity_mask(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert elliptic._worker_count() == len(os.sched_getaffinity(0))
+        else:
+            assert elliptic._worker_count() == (os.cpu_count() or 1)
+
+    def test_workers_run_in_callers_context(self, monkeypatch):
+        kernel = elliptic._landen_kernel
+        seen = []
+
+        def recording(x, *chain):
+            seen.append((threading.get_ident(), np.geterr()["over"], np.geterr()["under"]))
+            time.sleep(0.002)
+            return kernel(x, *chain)
+
+        monkeypatch.setattr(elliptic, "_worker_count", lambda: 3)
+        monkeypatch.setattr(elliptic, "_landen_kernel", recording)
+        with np.errstate(over="raise", under="ignore"):
+            jacobi_eval(np.linspace(0.0, 50.0, 10 * elliptic._CHUNK), 0.5)
+        assert len(seen) == 10 and len({ident for ident, _, _ in seen}) == 3
+        assert {(over, under) for _, over, under in seen} == {("raise", "ignore")}
+
+    def test_more_workers_than_cores_cover_every_chunk_once(self, monkeypatch):
+        # Stress the shared chunk counter: a lost or doubled hand-out changes
+        # the call count, and a chunk left unwritten breaks the equality.
+        kernel = elliptic._landen_kernel
+        calls = []
+        lock = threading.Lock()
+
+        def counting(x, *chain):
+            with lock:
+                calls.append(x.size)
+            return kernel(x, *chain)
+
+        x = np.random.default_rng(9).uniform(-40.0, 40.0, 23 * elliptic._CHUNK + 5)
+        want = serial(x, 0.9, np.float64)
+        monkeypatch.setattr(elliptic, "_worker_count", lambda: 8)
+        monkeypatch.setattr(elliptic, "_landen_kernel", counting)
+        result = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: result.append(jacobi_eval(x, 0.9)))
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive() and len(result) == 1
+        assert sorted(calls) == [5] + [elliptic._CHUNK] * 23
+        assert_triples_equal(result[0], want)
+
+
 class TestJacobiOracle:
     @pytest.mark.parametrize("m", M_GRID)
     def test_origin(self, m):
@@ -237,11 +442,13 @@ class TestJacobiOracle:
 
 
 def test_cold_import_loads_no_scipy():
-    # scipy is imported only by jacobi_oracle, on its first call
+    # scipy is imported only by jacobi_oracle, on its first call; the split
+    # evaluation uses bare threads, not an executor or a process pool
     script = (
         "import sys\n"
         "import landen, landen.cli, landen.elliptic\n"
-        "loaded = [k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')]\n"
+        "roots = ('scipy', 'concurrent', 'multiprocessing')\n"
+        "loaded = [k for k in sys.modules if k.split('.')[0] in roots]\n"
         "assert not loaded, loaded[:5]\n"
         "from landen.elliptic import jacobi_eval, jacobi_oracle\n"
         "a, b = jacobi_oracle(0.7, 0.5), jacobi_eval(0.7, 0.5)\n"
