@@ -12,8 +12,8 @@ verification commands.
 
 __version__ = "0.1.0"
 
-from .elliptic import (EllipticTriple, ModulusClampWarning, ModulusParameter,
-                       complete_elliptic_k, jacobi_eval, jacobi_oracle)
+from .elliptic import (EllipticTriple, ModulusClampWarning, complete_elliptic_k,
+                       jacobi_eval, jacobi_oracle)
 from .classic import (ClassicLandenResult, classic_cn, classic_dn,
                       classic_dn_two_term, classic_m_tilde, classic_sn)
 from .general import (AlternatingSumDegenerateError, Family, IdentityResidual,
@@ -25,11 +25,11 @@ from .sine_gordon import (Branch, BranchClassification, FirstIntegralValue,
                           SolutionFamily, SolutionKind, classify, closed_form_c,
                           default_samples, first_integral, first_integral_samples,
                           ode_residual, psi_derivative, psi_value,
-                          solution_period)
+                          solution_kind, solution_period)
 
 __all__ = [
     "__version__",
-    "EllipticTriple", "ModulusClampWarning", "ModulusParameter",
+    "EllipticTriple", "ModulusClampWarning",
     "complete_elliptic_k", "jacobi_eval", "jacobi_oracle",
     "ClassicLandenResult", "classic_cn", "classic_dn", "classic_dn_two_term",
     "classic_m_tilde", "classic_sn",
@@ -40,5 +40,5 @@ __all__ = [
     "OdeResidual", "SignConvention", "SolutionFamily", "SolutionKind",
     "classify", "closed_form_c", "default_samples", "first_integral",
     "first_integral_samples", "ode_residual", "psi_derivative", "psi_value",
-    "solution_period",
+    "solution_kind", "solution_period",
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import complete_elliptic_k, jacobi_eval
+from .elliptic import _validate_m, complete_elliptic_k, jacobi_eval
 
 __all__ = [
     "ClassicLandenResult",
@@ -45,12 +45,8 @@ def classic_m_tilde(m):
 
 
 def _check(m):
-    m = float(m)
-    if not np.isfinite(m) or m < 0.0 or m >= 1.0:
-        raise ValueError(
-            f"two-term transformation needs 0 <= m < 1 (m~ -> 1 and the "
-            f"quarter period diverges at m = 1), got {m!r}")
-    return m
+    # m~ -> 1 and the quarter period diverges at m = 1
+    return _validate_m(m, below_one=True, what="two-term transformation parameter m")
 
 
 def classic_sn(u, m):

@@ -25,9 +25,9 @@ from .classic import (classic_cn, classic_dn, classic_dn_two_term, classic_m_til
 from .elliptic import complete_elliptic_k, jacobi_eval
 from .general import (AlternatingSumDegenerateError, Family, LandenSpec,
                       coefficients, verify_identity)
-from .sine_gordon import (NoClosedFormError, SolutionFamily, SolutionKind,
-                          classify, closed_form_c, default_samples,
-                          first_integral_samples, ode_residual)
+from .sine_gordon import (NoClosedFormError, SolutionFamily, classify,
+                          closed_form_c, default_samples, first_integral_samples,
+                          ode_residual, solution_kind)
 
 M_GRID = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
 TABLE_M_DEFAULT = (0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 0.9999, 0.99999, 1.0)
@@ -36,15 +36,6 @@ TABLE_M_DEFAULT = (0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 0.9999, 0.99999, 1.0)
 # psi never leaves the excluded |psi| ~ 1 band (tiny transformed parameter),
 # so the first integral C is not measurable.
 C_NOT_MEASURABLE = "psi stays within 1e-6 of 1; first integral not measurable"
-
-_KIND_BY_FAMILY_PARITY = {
-    ("dn", True): SolutionKind.DN_ODD,
-    ("dn", False): SolutionKind.DN_EVEN,
-    ("cn", True): SolutionKind.CN_ODD,
-    ("cn", False): SolutionKind.CN_EVEN_ALT,
-    ("sn", True): SolutionKind.SN_ODD,
-    ("sn", False): SolutionKind.SN_EVEN_PROD,
-}
 
 
 def format_sig4(value: float) -> str:
@@ -169,47 +160,51 @@ def _family_records(grid: int, tol: float):
     return records
 
 
+def _first_integral_route(fam):
+    """What verify and sg-check read off fam's first-integral samples.
+
+    Returns None when fewer than two samples are admissible, else
+    (C, spread of C, closed-form C or None, classify(C), general m~).
+    """
+    values = first_integral_samples(fam, default_samples(fam))
+    if values.size < 2:
+        return None
+    c = float(values.mean())
+    try:
+        closed = closed_form_c(fam)
+    except NoClosedFormError:
+        closed = None
+    return (c, float(values.max() - values.min()), closed, classify(c),
+            coefficients(fam.spec, fam.m).m_tilde)
+
+
 def _sine_gordon_records(tol: float):
     records = []
     for p in range(2, 8):
-        odd = p % 2 == 1
         for m in M_GRID:
-            for family in ("dn", "cn", "sn"):
-                kind = _KIND_BY_FAMILY_PARITY[(family, odd)]
-                fam = SolutionFamily(kind, p, m)
-                values = first_integral_samples(fam, default_samples(fam))
-                if values.size < 2:
-                    records.append({"check": f"c-route-{kind.value}", "p": p,
-                                    "m": m, "skipped": C_NOT_MEASURABLE})
+            for family in Family:
+                fam = SolutionFamily(solution_kind(family, p), p, m)
+                kind = fam.kind.value
+                route = _first_integral_route(fam)
+                if route is None:
+                    records.append({"check": f"c-route-{kind}", "p": p, "m": m,
+                                    "skipped": C_NOT_MEASURABLE})
                     continue
-                c = float(values.mean())
+                c, spread, closed, verdict, target = route
                 scale = max(1.0, abs(c))
-                spread = float(values.max() - values.min()) / scale
-                records.append({"check": f"c-constancy-{kind.value}", "p": p, "m": m,
-                                "max_abs": spread, "tol": tol, "pass": spread <= tol})
-                if kind in (SolutionKind.DN_ODD, SolutionKind.DN_EVEN,
-                            SolutionKind.SN_ODD, SolutionKind.SN_EVEN_PROD):
-                    violation = max(0.0, -2.0 - c, c - 2.0)
-                else:
+                if fam.family is Family.CN:
                     violation = max(0.0, 2.0 - c)
-                records.append({"check": f"c-range-{kind.value}", "p": p, "m": m,
-                                "max_abs": violation, "tol": tol,
-                                "pass": violation <= tol})
-                try:
-                    diff = abs(c - closed_form_c(fam)) / scale
-                    records.append({"check": f"c-closed-form-{kind.value}", "p": p,
-                                    "m": m, "max_abs": diff, "tol": tol,
-                                    "pass": diff <= tol})
-                except NoClosedFormError:
-                    pass
+                else:
+                    violation = max(0.0, -2.0 - c, c - 2.0)
+                checks = [("c-constancy", spread / scale), ("c-range", violation)]
+                if closed is not None:
+                    checks.append(("c-closed-form", abs(c - closed) / scale))
                 # absolute comparison: the implied value (C + 2) / 4 cannot
                 # resolve parameters below ~1e-16 out of a float C near -2
-                implied = classify(values.mean()).m_tilde
-                target = coefficients(fam.spec, m).m_tilde
-                diff = abs(implied - target)
-                records.append({"check": f"implied-m-tilde-{kind.value}", "p": p,
-                                "m": m, "max_abs": diff, "tol": tol,
-                                "pass": diff <= tol})
+                checks.append(("implied-m-tilde", abs(verdict.m_tilde - target)))
+                records += [{"check": f"{check}-{kind}", "p": p, "m": m,
+                             "max_abs": value, "tol": tol, "pass": value <= tol}
+                            for check, value in checks]
     return records
 
 
@@ -234,26 +229,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sg_check(args) -> int:
-    kind = _KIND_BY_FAMILY_PARITY[(args.family, args.p % 2 == 1)]
+    kind = solution_kind(args.family, args.p)
     try:
         fam = SolutionFamily(kind, args.p, args.m)
-        values = first_integral_samples(fam, default_samples(fam))
-        if values.size < 2:
+        route = _first_integral_route(fam)
+        if route is None:
             _emit(_json_doc({"status": "Degenerate", "reason": C_NOT_MEASURABLE}),
                   args.out)
             return 2
-        c = float(values.mean())
-        spread = float(values.max() - values.min())
-        verdict = classify(c)
-        target = coefficients(fam.spec, args.m).m_tilde
+        c, spread, closed, verdict, target = route
         ode = ode_residual(fam, args.grid)
     except AlternatingSumDegenerateError as exc:
         _emit(_json_doc({"status": "Degenerate", "reason": str(exc)}), args.out)
         return 2
-    try:
-        closed = closed_form_c(fam)
-    except NoClosedFormError:
-        closed = None
     implied = verdict.m_tilde
     diff = abs(implied - target) if implied is not None else math.inf
     ok = ode.max_abs <= args.tol and diff <= 1e-8

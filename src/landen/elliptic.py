@@ -28,14 +28,12 @@ import contextvars
 import os
 import threading
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "EllipticTriple",
-    "ModulusParameter",
     "ModulusClampWarning",
     "complete_elliptic_k",
     "jacobi_eval",
@@ -81,10 +79,18 @@ class EllipticTriple(NamedTuple):
     dn: float
 
 
-def _validate_m(m):
+def _validate_m(m, *, below_one=False, above_zero=False, what="parameter m"):
+    """m as a float, or ValueError unless it lies in [0, 1].
+
+    below_one and above_zero open the interval at that end; `what` names
+    the quantity in the message.  NaN and +-inf fail every interval.
+    """
     m = float(m)
-    if not np.isfinite(m) or m < 0.0 or m > 1.0:
-        raise ValueError(f"parameter m must lie in [0, 1], got {m!r}")
+    low_ok = m > 0.0 if above_zero else m >= 0.0
+    high_ok = m < 1.0 if below_one else m <= 1.0
+    if not (low_ok and high_ok):
+        interval = f"{'(' if above_zero else '['}0, 1{')' if below_one else ']'}"
+        raise ValueError(f"{what} must lie in {interval}, got {m!r}")
     return m
 
 
@@ -126,9 +132,8 @@ def complete_elliptic_k(m, *, dtype=np.float64):
     -------
     scalar of `dtype`, accurate to a few ulp.
     """
-    m = float(m)
-    if not np.isfinite(m) or m < 0.0 or m >= 1.0:
-        raise ValueError(f"K(m) requires 0 <= m < 1 (K diverges at m = 1), got {m!r}")
+    m = _validate_m(m, below_one=True,
+                    what="the parameter m of K(m) (divergent at m = 1)")
     dtype = np.dtype(dtype)
     a, _, n = _agm_chain(m, dtype)
     value = _PI[dtype] / (dtype.type(2) * a[n])
@@ -360,25 +365,3 @@ def jacobi_oracle(x, m):
     cn = np.cos(phi)
     dn = np.sqrt(1.0 - m * sn * sn)
     return EllipticTriple(float(sgn * sn), float(sgn * cn_flip * cn), float(dn))
-
-
-@dataclass(frozen=True)
-class ModulusParameter:
-    """Elliptic parameter with its derived moduli and real quarter period.
-
-    Satisfies k^2 + k_prime^2 = 1 to rounding and big_k >= pi/2 with
-    equality exactly at m = 0.  Construction requires m < 1 because the
-    quarter period diverges there.
-    """
-
-    m: float
-    k: float
-    k_prime: float
-    big_k: float
-
-    @classmethod
-    def from_m(cls, m):
-        big_k = float(complete_elliptic_k(m))
-        m = float(m)
-        return cls(m=m, k=float(np.sqrt(m)), k_prime=float(np.sqrt(1.0 - m)),
-                   big_k=big_k)

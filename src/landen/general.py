@@ -16,11 +16,18 @@ shifted function values at x = 0, and m~ follows from cubic sums (A1..A4)
 or the shift product A5; see :func:`coefficients`.  For p = 2 every family
 collapses to the classical quadratic map of :mod:`landen.classic`.
 
+The shifted combination itself (signed sum or product of the p terms) is
+built in one place, used both for the right-hand sides here and for the
+superposed solutions psi of :mod:`landen.sine_gordon`, which are the same
+combinations with other scale factors.
+
 Numerics: the defining sums suffer severe cancellation for large p and
 small m (the normalizations grow like 1e5 and beyond), which in pure
 binary64 leaves identity residuals near 1e-9.  All internal sums therefore
 run in extended precision (np.longdouble) with compensated accumulation
-and results are rounded to float64 at the API boundary.
+and results are rounded to float64 at the API boundary.  Where even that
+fails for 0 < m < 1, with m~ outside [0, m] or a normalization that is not
+finite, the coefficients raise ArithmeticError instead of returning a value.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from enum import Enum
 
 import numpy as np
 
-from .elliptic import complete_elliptic_k, jacobi_eval
+from .elliptic import _validate_m, complete_elliptic_k, jacobi_eval
 
 __all__ = [
     "Family",
@@ -136,9 +143,24 @@ def _shift_step(big_k, p, odd, dtype):
 
 
 def _raw_coefficients(spec, m, dtype=_LD):
-    m = float(m)
-    if not np.isfinite(m) or m < 0.0 or m > 1.0:
-        raise ValueError(f"parameter m must lie in [0, 1], got {m!r}")
+    """_shift_sums, refused where the sums have visibly cancelled.
+
+    For 0 < m < 1 a cell whose m~ falls outside [0, m], or whose alpha or
+    argument scale is not finite, raises ArithmeticError: the cubic sums
+    lost every significant digit there and no value would be right.
+    """
+    m = _validate_m(m)
+    raw = _shift_sums(spec, m, dtype)
+    if 0.0 < m < 1.0 and not (0 <= raw.m_tilde <= m and np.isfinite(raw.alpha)
+                              and np.isfinite(raw.arg_scale)):
+        raise ArithmeticError(
+            f"{spec.family.value} p = {spec.p} coefficients cancelled at m = {m!r}: "
+            f"m~ = {float(raw.m_tilde)!r}, alpha = {float(raw.alpha)!r}, "
+            f"arg_scale = {float(raw.arg_scale)!r}")
+    return raw
+
+
+def _shift_sums(spec, m, dtype):
     family, p, odd = spec.family, spec.p, spec.odd
     one = dtype.type(1)
 
@@ -219,7 +241,9 @@ def coefficients(spec: LandenSpec, m) -> LandenCoefficients:
     m = 0 and m = 1 return the analytic limits rather than evaluating the
     defining sums (the quarter period diverges at m = 1; several sums
     vanish at m = 0).  The even cn family raises
-    AlternatingSumDegenerateError below ``CN_EVEN_MIN_M``.
+    AlternatingSumDegenerateError below ``CN_EVEN_MIN_M``, and a cell whose
+    sums have cancelled (m~ outside [0, m], alpha or the argument scale not
+    finite) raises ArithmeticError.
     """
     raw = _raw_coefficients(spec, m)
     a_sum = None if raw.a_sum is None else float(raw.a_sum)
@@ -228,14 +252,14 @@ def coefficients(spec: LandenSpec, m) -> LandenCoefficients:
                               arg_scale=float(raw.arg_scale))
 
 
-def _shifted_eval(args, shifts, m, dtype=_LD):
+def _shifted_eval(args, shifts, m):
     """(sn, cn, dn) at args + shifts[i] for every shift, in one call.
 
     Row i of each returned array (shape ``(p,) + args.shape``) is the i-th
     shifted term, so row-ordered sums and products keep the term order.
     """
     grid = args + shifts.reshape((-1,) + (1,) * np.ndim(args))
-    return jacobi_eval(grid, m, dtype=dtype)
+    return jacobi_eval(grid, m, dtype=_LD)
 
 
 def _alternate(rows):
@@ -243,32 +267,55 @@ def _alternate(rows):
     return [-row if i % 2 else row for i, row in enumerate(rows)]
 
 
-def _rhs_from_raw(raw, spec, m, x, dtype=_LD):
+def _superpose(spec, raw, m, args, derivative=False):
+    """The p shifted terms f(args + i step), i = 0..p-1, combined.
+
+    Even sn multiplies its sn terms; every other family takes their
+    compensated sum, of dn (dn, and even cn with alternating signs), cn
+    (odd cn) or sn (odd sn).  With derivative=True the derivative in args
+    comes back too; the product's derivative costs O(p^2), so it is left
+    out unless asked for.
+    """
+    family, p, odd = spec.family, spec.p, spec.odd
+    sn, cn, dn = _shifted_eval(args, raw.step * np.arange(p, dtype=_LD), m)
+
+    if family is Family.SN and not odd:
+        prod = np.ones_like(args)
+        for row in sn:
+            prod = prod * row
+        if not derivative:
+            return prod
+        dterms = []
+        for j in range(p):
+            term = cn[j] * dn[j]
+            for k in range(p):
+                if k != j:
+                    term = term * sn[k]
+            dterms.append(term)
+        return prod, _csum(dterms)
+
+    if family is Family.SN:
+        terms, slope = sn, lambda: cn * dn
+    elif family is Family.CN and odd:
+        terms, slope = cn, lambda: (-sn) * dn
+    else:
+        terms, slope = dn, lambda: (-_LD.type(m)) * sn * cn
+    signed = _alternate if family is Family.CN and not odd else list
+    if not derivative:
+        return _csum(signed(terms))
+    return _csum(signed(terms)), _csum(signed(slope()))
+
+
+def _rhs_from_raw(raw, spec, m, x):
     if not (np.isfinite(float(raw.alpha)) and np.isfinite(float(raw.arg_scale))
             and np.isfinite(float(raw.step))):
         raise ValueError(
             f"right-hand side is not evaluable at m = {m!r} for {spec.family.value} "
             f"p = {spec.p}: coefficients degenerate at this boundary")
-    family, p, odd = spec.family, spec.p, spec.odd
-    x = np.asarray(x, dtype=dtype)
-    shifts = raw.step * np.arange(p, dtype=dtype)
-    sn, cn, dn = _shifted_eval(raw.arg_scale * x, shifts, m, dtype)
-
-    if family is Family.SN and not odd:
-        prod = np.ones_like(x)
-        for row in sn:
-            prod = prod * row
-        return prod / (raw.a_sum * raw.alpha)
-
-    if family is Family.DN:
-        terms = dn
-    elif family is Family.CN and odd:
-        terms = cn
-    elif family is Family.CN:
-        terms = _alternate(dn)
-    else:
-        terms = sn
-    return raw.alpha * _csum(terms)
+    combo = _superpose(spec, raw, m, raw.arg_scale * np.asarray(x, dtype=_LD))
+    if spec.family is Family.SN and not spec.odd:
+        return combo / (raw.a_sum * raw.alpha)
+    return raw.alpha * combo
 
 
 def transform_rhs(spec: LandenSpec, m, x):
@@ -308,13 +355,6 @@ def verify_identity(spec: LandenSpec, m, grid_points: int = 128) -> IdentityResi
                             grid_points=grid_points, x_span=span)
 
 
-def _check_open_interval(m):
-    m = float(m)
-    if not np.isfinite(m) or m <= 0.0 or m >= 1.0:
-        raise ValueError(f"closed form requires 0 < m < 1, got {m!r}")
-    return m
-
-
 def m_tilde_closed_p3(m):
     """Closed-form transformed parameter for p = 3.
 
@@ -322,7 +362,7 @@ def m_tilde_closed_p3(m):
     checking the quartic q^4 + 2q^3 - 2(1-m)q - (1-m) = 0 that q must
     satisfy (residual below 1e-12, else ArithmeticError).
     """
-    m = _check_open_interval(m)
+    m = _validate_m(m, below_one=True, above_zero=True, what="closed-form parameter m")
     big_k = complete_elliptic_k(m, dtype=_LD)
     q = jacobi_eval(2 * big_k / 3, m, dtype=_LD).dn
     mp1 = _LD.type(1.0 - m)
@@ -340,7 +380,7 @@ def m_tilde_closed_p4(m):
 
     Checks dn(K/2) = dn(3K/2) = t and dn(K) = t^2 to 1e-12 first.
     """
-    m = _check_open_interval(m)
+    m = _validate_m(m, below_one=True, above_zero=True, what="closed-form parameter m")
     big_k = complete_elliptic_k(m, dtype=_LD)
     t = _LD.type(1.0 - m) ** _LD.type(0.25)
     half = jacobi_eval(big_k / 2, m, dtype=_LD).dn
@@ -364,9 +404,7 @@ def a5_product(p: int, m):
     """
     if not isinstance(p, (int, np.integer)) or p < 2 or p % 2 == 1:
         raise ValueError(f"a5_product requires an even integer p >= 2, got {p!r}")
-    m = float(m)
-    if not np.isfinite(m) or m < 0.0 or m >= 1.0:
-        raise ValueError(f"a5_product requires 0 <= m < 1, got {m!r}")
+    m = _validate_m(m, below_one=True, what="a5_product parameter m")
     big_k = complete_elliptic_k(m, dtype=_LD)
     points = 2 * big_k * np.arange(1, p, dtype=_LD) / _LD.type(p)
     return float(np.prod(jacobi_eval(points, m, dtype=_LD).sn))

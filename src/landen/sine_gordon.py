@@ -23,6 +23,11 @@ solutions reproduces exactly the parameter maps of :mod:`landen.general`.
 That consistency (constancy of C, range, closed forms, implied m~) is what
 this module makes checkable.
 
+Each superposition is the p-term side of one (family, parity) cell of
+:mod:`landen.general`: :func:`solution_kind` names it, and psi is that
+side's shifted sum or product with its own prefactor and inner scale.  The
+static kinds are the dn and cn families, the traveling ones the sn family.
+
 Derivatives of psi are analytic (termwise d/dx of sn, cn, dn), not finite
 differences, so the reported C carries no step-size error.
 """
@@ -33,15 +38,16 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .elliptic import complete_elliptic_k
-from .general import (Family, LandenSpec, _alternate, _csum, _raw_coefficients,
-                      _shifted_eval)
+from .elliptic import _validate_m, complete_elliptic_k
+from .general import Family, LandenSpec, _raw_coefficients, _superpose
 
 __all__ = [
     "SolutionKind",
+    "solution_kind",
     "SolutionFamily",
     "SignConvention",
     "FirstIntegralValue",
@@ -77,17 +83,22 @@ class SolutionKind(Enum):
     SN_EVEN_PROD = "sn-even-prod"
 
 
-_ODD_KINDS = {SolutionKind.DN_ODD, SolutionKind.CN_ODD, SolutionKind.SN_ODD}
-_TRAVELING_KINDS = {SolutionKind.SN_ODD, SolutionKind.SN_EVEN_PROD}
-
-_KIND_FAMILY = {
-    SolutionKind.DN_ODD: Family.DN,
-    SolutionKind.DN_EVEN: Family.DN,
-    SolutionKind.CN_ODD: Family.CN,
-    SolutionKind.CN_EVEN_ALT: Family.CN,
-    SolutionKind.SN_ODD: Family.SN,
-    SolutionKind.SN_EVEN_PROD: Family.SN,
+# The one (family, p odd) <-> kind table: each superposition is the
+# p-term side of that family's modulus identity.
+_KIND_OF = {
+    (Family.DN, True): SolutionKind.DN_ODD,
+    (Family.DN, False): SolutionKind.DN_EVEN,
+    (Family.CN, True): SolutionKind.CN_ODD,
+    (Family.CN, False): SolutionKind.CN_EVEN_ALT,
+    (Family.SN, True): SolutionKind.SN_ODD,
+    (Family.SN, False): SolutionKind.SN_EVEN_PROD,
 }
+_FAMILY_PARITY = {kind: key for key, kind in _KIND_OF.items()}
+
+
+def solution_kind(family, p) -> SolutionKind:
+    """The superposition whose psi is the p-term side of `family`'s identity."""
+    return _KIND_OF[(Family(family), p % 2 == 1)]
 
 
 class SignConvention(Enum):
@@ -104,25 +115,31 @@ class SolutionFamily:
     m: float
 
     def __post_init__(self):
-        odd = self.p % 2 == 1
-        if (self.kind in _ODD_KINDS) != odd:
+        odd = _FAMILY_PARITY[self.kind][1]
+        if (self.p % 2 == 1) != odd:
             raise ValueError(
-                f"{self.kind.value} requires {'odd' if self.kind in _ODD_KINDS else 'even'} "
+                f"{self.kind.value} requires {'odd' if odd else 'even'} "
                 f"p, got p = {self.p}")
         if self.p < 2:
             raise ValueError(f"p must be >= 2, got {self.p}")
-        m = float(self.m)
-        if not np.isfinite(m) or m < 0.0 or m > 1.0:
-            raise ValueError(f"parameter m must lie in [0, 1], got {self.m!r}")
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", _validate_m(self.m))
 
     @property
+    def family(self) -> Family:
+        return _FAMILY_PARITY[self.kind][0]
+
+    @cached_property
     def spec(self) -> LandenSpec:
-        return LandenSpec(_KIND_FAMILY[self.kind], self.p)
+        return LandenSpec(self.family, self.p)
+
+    @cached_property
+    def _raw(self):
+        """The family's coefficients at m, built once per solution."""
+        return _raw_coefficients(self.spec, self.m)
 
     @property
     def sign_convention(self) -> SignConvention:
-        return (SignConvention.TRAVELING if self.kind in _TRAVELING_KINDS
+        return (SignConvention.TRAVELING if self.family is Family.SN
                 else SignConvention.STATIC)
 
 
@@ -158,87 +175,44 @@ class OdeResidual:
     step: float
 
 
-@dataclass(frozen=True)
-class _Pieces:
-    mode: str                 # 'sum' | 'product' | 'kink'
-    term: str                 # 'sn' | 'cn' | 'dn' for sums; 'sech'/'tanh' for kink
-    prefactor: object
-    inner: object
-    shifts: object
-    alternating: bool
-
-
-def _pieces(fam: SolutionFamily) -> _Pieces:
-    m = fam.m
-    if m == 1.0:
-        term = "tanh" if fam.kind in _TRAVELING_KINDS else "sech"
-        return _Pieces("kink", term, _LD.type(1), _LD.type(1), None, False)
-    raw = _raw_coefficients(fam.spec, m)
-    shifts = raw.step * np.arange(fam.p, dtype=_LD)
-    kind = fam.kind
-    if kind is SolutionKind.DN_ODD or kind is SolutionKind.DN_EVEN:
-        pieces = _Pieces("sum", "dn", raw.alpha, raw.alpha, shifts, False)
-    elif kind is SolutionKind.CN_ODD:
-        inner = raw.alpha / np.sqrt(_LD.type(m)) if m > 0 else math.nan
-        pieces = _Pieces("sum", "cn", raw.alpha, inner, shifts, False)
-    elif kind is SolutionKind.CN_EVEN_ALT:
-        # Inner scale alpha4, not the plain-sum alpha2: with alpha2 inside,
-        # the alternating superposition fails the field equation (C is not
-        # constant along x), while alpha4 reproduces cn(x/sqrt(m~), m~).
-        pieces = _Pieces("sum", "dn", raw.alpha, raw.alpha, shifts, True)
-    elif kind is SolutionKind.SN_ODD:
+def _pieces(fam: SolutionFamily):
+    """(prefactor, inner) of psi = prefactor * combo(inner x), where combo
+    is the family's shifted sum or product (general._superpose)."""
+    m, raw = fam.m, fam._raw
+    if fam.family is Family.SN and fam.spec.odd:
         # only the inner scale a1 and the prefactor sqrt(m) a1 enter; at
         # m = 0 the prefactor vanishes and psi degenerates to 0 cleanly
-        a1 = raw.arg_scale
-        pieces = _Pieces("sum", "sn", np.sqrt(_LD.type(m)) * a1, a1, shifts, False)
-    else:  # SN_EVEN_PROD
-        pref = _LD.type(m) ** (_LD.type(fam.p) / 2) * raw.alpha * raw.a_sum
-        pieces = _Pieces("product", "sn", pref, raw.alpha, shifts, False)
-    if not (np.isfinite(float(pieces.prefactor)) and np.isfinite(float(pieces.inner))):
+        prefactor, inner = np.sqrt(_LD.type(m)) * raw.arg_scale, raw.arg_scale
+    elif fam.family is Family.SN:
+        prefactor = _LD.type(m) ** (_LD.type(fam.p) / 2) * raw.alpha * raw.a_sum
+        inner = raw.alpha
+    elif fam.family is Family.CN and fam.spec.odd:
+        prefactor = raw.alpha
+        inner = raw.alpha / np.sqrt(_LD.type(m)) if m > 0 else math.nan
+    else:
+        # dn kinds and the alternating cn kind.  Even cn takes the inner
+        # scale alpha4, not the plain-sum alpha2: with alpha2 inside, the
+        # alternating superposition fails the field equation (C is not
+        # constant along x), while alpha4 reproduces cn(x/sqrt(m~), m~).
+        prefactor, inner = raw.alpha, raw.alpha
+    if not (np.isfinite(float(prefactor)) and np.isfinite(float(inner))):
         raise ValueError(
             f"{fam.kind.value} superposition degenerates at m = {m!r}: "
             "normalization diverges")
-    return pieces
+    return prefactor, inner
 
 
 def _psi_and_derivative(fam, x):
     """psi and its analytic x-derivative, in extended precision."""
-    pieces = _pieces(fam)
     x = np.asarray(x, dtype=_LD)
-    if pieces.mode == "kink":
-        if pieces.term == "sech":
-            sech = 1 / np.cosh(x)
-            return sech, -sech * np.tanh(x)
+    if fam.m == 1.0:
         sech = 1 / np.cosh(x)
-        return np.tanh(x), sech * sech
-
-    m, p = fam.m, fam.p
-    sn, cn, dn = _shifted_eval(pieces.inner * x, pieces.shifts, m)
-
-    if pieces.mode == "product":
-        prod = np.ones_like(x)
-        for row in sn:
-            prod = prod * row
-        dterms = []
-        for j in range(p):
-            term = cn[j] * dn[j]
-            for k in range(p):
-                if k != j:
-                    term = term * sn[k]
-            dterms.append(term)
-        return pieces.prefactor * prod, pieces.prefactor * pieces.inner * _csum(dterms)
-
-    if pieces.term == "dn":
-        vals, derivs = dn, (-_LD.type(m)) * sn * cn
-    elif pieces.term == "cn":
-        vals, derivs = cn, (-sn) * dn
-    else:
-        vals, derivs = sn, cn * dn
-    if pieces.alternating:
-        vals, derivs = _alternate(vals), _alternate(derivs)
-    psi = pieces.prefactor * _csum(vals)
-    dpsi = pieces.prefactor * pieces.inner * _csum(derivs)
-    return psi, dpsi
+        if fam.family is Family.SN:
+            return np.tanh(x), sech * sech
+        return sech, -sech * np.tanh(x)
+    prefactor, inner = _pieces(fam)
+    combo, slope = _superpose(fam.spec, fam._raw, fam.m, inner * x, derivative=True)
+    return prefactor * combo, prefactor * inner * slope
 
 
 def psi_value(fam: SolutionFamily, x):
@@ -261,13 +235,13 @@ def solution_period(fam: SolutionFamily) -> float:
     """Period of psi in the solution's own coordinate (inf at m = 1)."""
     if fam.m == 1.0:
         return math.inf
-    m_tilde = float(_raw_coefficients(fam.spec, fam.m).m_tilde)
-    kind = fam.kind
-    if kind in (SolutionKind.DN_ODD, SolutionKind.DN_EVEN):
-        return 2.0 * float(complete_elliptic_k(m_tilde))
-    if kind in (SolutionKind.CN_ODD, SolutionKind.CN_EVEN_ALT):
-        return 4.0 * float(complete_elliptic_k(m_tilde)) * math.sqrt(m_tilde)
-    return 4.0 * float(complete_elliptic_k(m_tilde))
+    m_tilde = float(fam._raw.m_tilde)
+    quarter = float(complete_elliptic_k(m_tilde))
+    if fam.family is Family.DN:
+        return 2.0 * quarter
+    if fam.family is Family.CN:
+        return 4.0 * quarter * math.sqrt(m_tilde)
+    return 4.0 * quarter
 
 
 def default_samples(fam: SolutionFamily, n: int = 33):
@@ -332,20 +306,21 @@ def closed_form_c(fam: SolutionFamily) -> float:
     they raise NoClosedFormError and must be measured via
     :func:`first_integral`.
     """
-    kind = fam.kind
-    if kind in (SolutionKind.DN_EVEN, SolutionKind.CN_EVEN_ALT):
+    family, odd = fam.family, fam.spec.odd
+    if not odd and family is not Family.SN:
         raise NoClosedFormError(
-            f"no closed-form C for {kind.value}; only the range is known")
-    if fam.m == 0.0 and kind in (SolutionKind.CN_ODD, SolutionKind.SN_ODD):
-        raise ValueError(f"closed-form C for {kind.value} needs m > 0")
-    raw = _raw_coefficients(fam.spec, fam.m)
+            f"no closed-form C for {fam.kind.value}; only the range is known")
+    if odd and family is not Family.DN:
+        _validate_m(fam.m, above_zero=True,
+                    what=f"m of the closed-form C for {fam.kind.value}")
+    raw = fam._raw
     md = _LD.type(fam.m)
-    if kind is SolutionKind.DN_ODD:
+    if family is Family.DN:
         c = -2 + 4 * (md - 2) * raw.alpha ** 2 + 8 * raw.alpha ** 3 * raw.a_sum
-    elif kind is SolutionKind.CN_ODD:
+    elif family is Family.CN:
         c = (-2 + 4 * (1 - 2 * md) * raw.alpha ** 2 / md
              + 8 * raw.alpha ** 3 * raw.a_sum)
-    elif kind is SolutionKind.SN_ODD:
+    elif odd:
         c = -2 + 4 * md * raw.arg_scale ** 2 / raw.alpha ** 2
     else:
         c = -2 + 4 * md ** fam.p * raw.alpha ** 4 * raw.a_sum ** 4
@@ -384,12 +359,11 @@ def _reconstruct_phi(fam, psi, dpsi):
     amplitude sqrt(m~) stays below 1.  Grids from ode_residual start half a
     step past x = 0, so the touch at the origin lies between samples.
     """
-    kind = fam.kind
     d = np.asarray(dpsi)
-    if kind in (SolutionKind.DN_ODD, SolutionKind.DN_EVEN):
+    if fam.family is Family.DN:
         flips = (d[:-1] > 0) & (d[1:] <= 0)
         sigma0 = -1.0
-    elif kind in (SolutionKind.CN_ODD, SolutionKind.CN_EVEN_ALT):
+    elif fam.family is Family.CN:
         flips = ((d[:-1] > 0) & (d[1:] < 0)) | ((d[:-1] < 0) & (d[1:] > 0))
         sigma0 = -1.0
     else:
@@ -431,11 +405,9 @@ def ode_residual(fam: SolutionFamily, grid_points: int = 256) -> OdeResidual:
     """
     if grid_points < 64:
         raise ValueError(f"grid_points must be at least 64, got {grid_points}")
-    if fam.m == 1.0:
-        raise ValueError("separatrix (m = 1): the period diverges; no period grid")
-    kind = fam.kind
+    _validate_m(fam.m, below_one=True, what="m (the period diverges at the separatrix m = 1)")
     span = solution_period(fam)
-    if kind in (SolutionKind.DN_ODD, SolutionKind.DN_EVEN):
+    if fam.family is Family.DN:
         span *= 2.0  # phi librates over two psi periods
     h = span / grid_points
     xs = (np.arange(grid_points, dtype=_LD) + _LD.type(0.5)) * _LD.type(h)

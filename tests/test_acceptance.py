@@ -16,6 +16,7 @@ evaluated in 50-digit mpmath and sharing no code with ``landen``;
 applied, all 60 cells are the 4-significant-figure rounding of that route.
 """
 
+import json
 import time
 
 import numpy as np
@@ -256,6 +257,30 @@ def test_criterion_6_first_integral_route(capsys):
                 f"{len(SG_CELLS)} cells, {len(failures)} failure(s)"
                 + ("; " + "; ".join(failures) if failures else ""))
     assert not failures
+
+
+def test_sg_check_and_verify_read_the_same_route(tmp_path, capsys):
+    # on every SG_CELLS cell, sg-check reports the very C, closed-form C and
+    # implied/general m~ from which verify's records are computed
+    target = tmp_path / "verify.json"
+    assert main(["verify", "--scope", "sine-gordon", "--out", str(target)]) == 0
+    records = json.loads(target.read_text())["results"]
+    for kind, p, m in SG_CELLS:
+        family = SolutionFamily(kind, p, m).family.value
+        assert main(["sg-check", "--family", family, "--p", str(p), "--m", repr(m)]) == 0
+        doc = json.loads(capsys.readouterr().out)["results"][0]
+        assert doc["kind"] == kind.value
+        cell = {r["check"]: r["max_abs"] for r in records
+                if (r["p"], r["m"]) == (p, m) and r["check"].endswith(kind.value)}
+        scale = max(1.0, abs(doc["c"]))
+        assert cell[f"c-constancy-{kind.value}"] == doc["c_spread"] / scale
+        assert cell[f"implied-m-tilde-{kind.value}"] == abs(
+            doc["implied_m_tilde"] - doc["general_m_tilde"])
+        if doc["closed_form_c"] is None:
+            assert f"c-closed-form-{kind.value}" not in cell
+        else:
+            assert cell[f"c-closed-form-{kind.value}"] == abs(
+                doc["c"] - doc["closed_form_c"]) / scale
 
 
 def test_criterion_7_field_equation_residual(capsys):

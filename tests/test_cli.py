@@ -8,8 +8,13 @@ import warnings
 import pytest
 from numpy.testing import assert_allclose
 
-from landen.cli import C_NOT_MEASURABLE, format_sig4, main
+from landen.cli import C_NOT_MEASURABLE, M_GRID, format_sig4, main
 from landen.elliptic import complete_elliptic_k
+
+# the dn cells of p 2..7 x M_GRID whose samples all sit in the |psi| ~ 1
+# band; verify writes a c-route skip record for each
+UNMEASURABLE_DN_CELLS = [(4, 0.1), (4, 0.25), (5, 0.1), (5, 0.25), (6, 0.1), (6, 0.25),
+                         (6, 0.5), (7, 0.1), (7, 0.25), (7, 0.5), (7, 0.75)]
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +73,12 @@ class TestCoeffs:
                                "--m", "1e-12")
         assert code == 2
         assert json.loads(out)["status"] == "Degenerate"
+
+    def test_cancelled_cell_refused(self, capsys):
+        code, out, err = run_cli(capsys, "coeffs", "--family", "dn", "--p", "4",
+                                 "--m", "1e-6")
+        assert code == 2 and out == ""
+        assert err.startswith("error: dn p = 4 coefficients cancelled at m = 1e-06")
 
     def test_byte_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "coeffs", "--family", "cn", "--p", "5",
@@ -205,11 +216,15 @@ class TestSgCheck:
         assert code == 2
         assert json.loads(out)["status"] == "Degenerate"
 
-    # the dn cells of p 2..7 x M_GRID whose samples all sit in the |psi| ~ 1
-    # band; verify writes a c-route skip record for each
-    @pytest.mark.parametrize("p,m", [(4, 0.1), (4, 0.25), (5, 0.1), (5, 0.25),
-                                     (6, 0.1), (6, 0.25), (6, 0.5), (7, 0.1),
-                                     (7, 0.25), (7, 0.5), (7, 0.75)])
+    def test_cancelled_cell_refused(self, capsys):
+        # the cancelled m~ is refused where it is built, not later as a
+        # parameter of K(m~)
+        code, out, err = run_cli(capsys, "sg-check", "--family", "dn", "--p", "4",
+                                 "--m", "1e-12")
+        assert code == 2 and out == ""
+        assert err.startswith("error: dn p = 4 coefficients cancelled at m = 1e-12")
+
+    @pytest.mark.parametrize("p,m", UNMEASURABLE_DN_CELLS)
     def test_unmeasurable_first_integral_is_degenerate(self, capsys, p, m):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -217,6 +232,39 @@ class TestSgCheck:
                                      "--p", str(p), "--m", str(m))
         assert code == 2 and err == ""
         assert json.loads(out) == {"status": "Degenerate", "reason": C_NOT_MEASURABLE}
+
+
+# the records of one sine-Gordon cell, in verify's order
+EVEN_KIND = {"dn": "dn-even", "cn": "cn-even-alt", "sn": "sn-even-prod"}
+CLOSED_FORM_KINDS = {"dn-odd", "cn-odd", "sn-odd", "sn-even-prod"}
+
+
+def expected_sine_gordon_checks(p, m):
+    names = []
+    for family in ("dn", "cn", "sn"):
+        kind = f"{family}-odd" if p % 2 else EVEN_KIND[family]
+        if family == "dn" and (p, m) in UNMEASURABLE_DN_CELLS:
+            names.append(f"c-route-{kind}")
+            continue
+        names += [f"c-constancy-{kind}", f"c-range-{kind}"]
+        if kind in CLOSED_FORM_KINDS:
+            names.append(f"c-closed-form-{kind}")
+        names.append(f"implied-m-tilde-{kind}")
+    return names
+
+
+def test_sine_gordon_record_layout(tmp_path):
+    target = tmp_path / "verify.json"
+    assert main(["verify", "--scope", "sine-gordon", "--out", str(target)]) == 0
+    records = json.loads(target.read_text())["results"]
+    cells = [(p, m) for p in range(2, 8) for m in M_GRID]
+    assert [r["check"] for r in records] == [
+        name for p, m in cells for name in expected_sine_gordon_checks(p, m)]
+    assert [(r["p"], r["m"]) for r in records] == [
+        (p, m) for p, m in cells for _ in expected_sine_gordon_checks(p, m)]
+    skips = [r for r in records if "skipped" in r]
+    assert len(skips) == len(UNMEASURABLE_DN_CELLS)
+    assert all(r["skipped"] == C_NOT_MEASURABLE and "pass" not in r for r in skips)
 
 
 def test_module_entry_point():

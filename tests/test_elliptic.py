@@ -14,8 +14,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
 from landen import elliptic
-from landen.elliptic import (ModulusClampWarning, ModulusParameter,
-                             complete_elliptic_k, jacobi_eval, jacobi_oracle)
+from landen.elliptic import (ModulusClampWarning, complete_elliptic_k, jacobi_eval,
+                             jacobi_oracle)
 
 M_GRID = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
 EPS = float(np.finfo(float).eps)
@@ -459,20 +459,3 @@ def test_cold_import_loads_no_scipy():
                             env=dict(os.environ, PYTHONPATH=src),
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-
-
-class TestModulusParameter:
-    def test_fields_and_invariants(self):
-        mp = ModulusParameter.from_m(0.5)
-        assert mp.k == np.sqrt(0.5) and mp.k_prime == np.sqrt(0.5)
-        assert abs(mp.k ** 2 + mp.k_prime ** 2 - 1.0) <= 2 * EPS
-        assert mp.big_k > np.pi / 2
-
-    def test_circular_edge(self):
-        assert ModulusParameter.from_m(0.0).big_k == np.pi / 2
-
-    def test_rejects_divergent_period(self):
-        with pytest.raises(ValueError):
-            ModulusParameter.from_m(1.0)
-        with pytest.raises(ValueError):
-            ModulusParameter.from_m(-0.5)

@@ -1,9 +1,12 @@
 """Tests for the multi-term transformation machinery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from landen import general
 from landen.classic import classic_dn_two_term, classic_m_tilde
 from landen.elliptic import complete_elliptic_k, jacobi_eval
 from landen.general import (AlternatingSumDegenerateError, Family, LandenSpec,
@@ -40,6 +43,9 @@ class TestCoefficients:
             assert co.m_tilde == 0.0
         co = coefficients(spec(Family.SN, 4), 0.0)
         assert co.m_tilde == 0.0 and co.a_sum == 4 / 8
+        # a limit, not a cancelled sum: odd cn keeps its divergent alpha
+        co = coefficients(spec(Family.CN, 3), 0.0)
+        assert co.alpha == np.inf and np.isnan(co.arg_scale)
 
     def test_alpha_approaches_inverse_p(self):
         co = coefficients(spec(Family.DN, 5), 1e-9)
@@ -136,6 +142,31 @@ class TestTransformRhs:
             transform_rhs(spec(Family.SN, 3), 0.0, 0.3)
         with pytest.raises(ValueError):
             transform_rhs(spec(Family.DN, 3), 1.0, 0.3)
+
+
+class TestCancellationGuard:
+    # cells whose cubic sums cancel to nothing: dn p = 4 gives m~ = -1.4e-20,
+    # odd cn p = 9 gives alpha = -3.4e18 and a NaN argument scale
+    @pytest.mark.parametrize("family,p,m", [(Family.DN, 4, 1e-6), (Family.DN, 4, 1e-12),
+                                            (Family.DN, 8, 1e-12), (Family.CN, 9, 1e-4)])
+    def test_cancelled_cell_refused(self, family, p, m):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ArithmeticError, match="cancelled"):
+                coefficients(spec(family, p), m)
+            with pytest.raises(ArithmeticError, match="cancelled"):
+                transform_rhs(spec(family, p), m, 0.3)
+
+    def test_m_tilde_above_m_refused(self, monkeypatch):
+        # no cell is known to overshoot m, so forge one to check that bound
+        real = general._shift_sums
+
+        def overshoot(s, m, dtype):
+            raw = real(s, m, dtype)
+            return dataclasses.replace(raw, m_tilde=raw.m_tilde + LD(m))
+
+        monkeypatch.setattr(general, "_shift_sums", overshoot)
+        with pytest.raises(ArithmeticError, match="cancelled"):
+            coefficients(spec(Family.DN, 3), 0.5)
 
 
 def rhs_per_term(s, m, x):

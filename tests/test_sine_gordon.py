@@ -5,13 +5,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from landen.elliptic import jacobi_eval
-from landen.general import AlternatingSumDegenerateError, _csum, coefficients
+from landen.general import (AlternatingSumDegenerateError, Family, LandenSpec, _csum,
+                            coefficients)
 from landen.sine_gordon import (Branch, FirstIntegralValue, NoClosedFormError,
                                 SignConvention, SolutionFamily, SolutionKind,
                                 _pieces, _psi_and_derivative, classify, closed_form_c, default_samples,
                                 first_integral, first_integral_samples,
                                 ode_residual, psi_derivative, psi_value,
-                                solution_period)
+                                solution_kind, solution_period)
 
 LD = np.longdouble
 
@@ -89,16 +90,34 @@ class TestPsi:
             assert ode_residual(fam, 256).max_abs == 0.0
 
 
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("p", range(2, 8))
+def test_solution_kind_round_trips(family, p):
+    kind = solution_kind(family, p)
+    assert solution_kind(family.value, p) is kind
+    fam = SolutionFamily(kind, p, 0.5)
+    assert fam.family is family
+    assert fam.spec == LandenSpec(family, p)
+    expected = SignConvention.TRAVELING if family is Family.SN else SignConvention.STATIC
+    assert fam.sign_convention is expected
+
+
+def test_solution_kind_names_each_kind_once():
+    kinds = [solution_kind(f, p) for f in Family for p in (2, 3)]
+    assert sorted(k.value for k in kinds) == sorted(k.value for k in SolutionKind)
+
+
 def psi_per_term(fam, x):
     """Extended-precision psi and d(psi)/dx with one jacobi_eval call per
     shifted term, summed and multiplied in term order: the reference for
     the broadcast evaluation."""
-    pieces = _pieces(fam)
+    prefactor, inner = _pieces(fam)
+    shifts = fam._raw.step * np.arange(fam.p, dtype=LD)
     x = np.asarray(x, dtype=LD)
-    args = pieces.inner * x
-    triples = [jacobi_eval(args + pieces.shifts[i], fam.m, dtype=LD)
+    args = inner * x
+    triples = [jacobi_eval(args + shifts[i], fam.m, dtype=LD)
                for i in range(fam.p)]
-    if pieces.mode == "product":
+    if fam.kind is SolutionKind.SN_EVEN_PROD:
         prod = np.ones_like(x)
         for t in triples:
             prod = prod * t.sn
@@ -109,23 +128,25 @@ def psi_per_term(fam, x):
                 if k != j:
                     term = term * triples[k].sn
             dterms.append(term)
-        psi, dpsi = pieces.prefactor * prod, pieces.prefactor * pieces.inner * _csum(dterms)
+        psi, dpsi = prefactor * prod, prefactor * inner * _csum(dterms)
     else:
         md = LD(fam.m)
+        alternating = fam.kind is SolutionKind.CN_EVEN_ALT
+        term = {SolutionKind.CN_ODD: "cn", SolutionKind.SN_ODD: "sn"}.get(fam.kind, "dn")
         vals, derivs = [], []
         for i, t in enumerate(triples):
-            sign = LD(-1 if (pieces.alternating and i % 2 == 1) else 1)
-            if pieces.term == "dn":
+            sign = LD(-1 if (alternating and i % 2 == 1) else 1)
+            if term == "dn":
                 vals.append(sign * t.dn)
                 derivs.append(sign * (-md) * t.sn * t.cn)
-            elif pieces.term == "cn":
+            elif term == "cn":
                 vals.append(sign * t.cn)
                 derivs.append(sign * (-t.sn) * t.dn)
             else:
                 vals.append(sign * t.sn)
                 derivs.append(sign * t.cn * t.dn)
-        psi = pieces.prefactor * _csum(vals)
-        dpsi = pieces.prefactor * pieces.inner * _csum(derivs)
+        psi = prefactor * _csum(vals)
+        dpsi = prefactor * inner * _csum(derivs)
     return psi, dpsi
 
 
