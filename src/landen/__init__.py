@@ -18,8 +18,8 @@ from .classic import (ClassicLandenResult, classic_cn, classic_dn,
                       classic_dn_two_term, classic_m_tilde, classic_sn)
 from .general import (AlternatingSumDegenerateError, Family, IdentityResidual,
                       LandenCoefficients, LandenSpec, a5_product, coefficients,
-                      m_tilde_closed_p3, m_tilde_closed_p4, transform_rhs,
-                      verify_identity)
+                      m_tilde_closed_p3, m_tilde_closed_p4, sum_route_m_tilde,
+                      transform_rhs, verify_identity)
 from .sine_gordon import (Branch, BranchClassification, FirstIntegralValue,
                           NoClosedFormError, OdeResidual, SignConvention,
                           SolutionFamily, SolutionKind, classify, closed_form_c,
@@ -35,7 +35,8 @@ __all__ = [
     "classic_m_tilde", "classic_sn",
     "AlternatingSumDegenerateError", "Family", "IdentityResidual",
     "LandenCoefficients", "LandenSpec", "a5_product", "coefficients",
-    "m_tilde_closed_p3", "m_tilde_closed_p4", "transform_rhs", "verify_identity",
+    "m_tilde_closed_p3", "m_tilde_closed_p4", "sum_route_m_tilde", "transform_rhs",
+    "verify_identity",
     "Branch", "BranchClassification", "FirstIntegralValue", "NoClosedFormError",
     "OdeResidual", "SignConvention", "SolutionFamily", "SolutionKind",
     "classify", "closed_form_c", "default_samples", "first_integral",

@@ -24,7 +24,7 @@ from .classic import (classic_cn, classic_dn, classic_dn_two_term, classic_m_til
                       classic_sn)
 from .elliptic import complete_elliptic_k, jacobi_eval
 from .general import (AlternatingSumDegenerateError, Family, LandenSpec,
-                      coefficients, verify_identity)
+                      coefficients, sum_route_m_tilde, verify_identity)
 from .sine_gordon import (NoClosedFormError, SolutionFamily, classify,
                           closed_form_c, default_samples, first_integral_samples,
                           ode_residual, solution_kind)
@@ -37,14 +37,24 @@ TABLE_M_DEFAULT = (0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 0.9999, 0.99999, 1.0)
 # so the first integral C is not measurable.
 C_NOT_MEASURABLE = "psi stays within 1e-6 of 1; first integral not measurable"
 
+# verify's second route for m~: the paper's shifted sums must agree with
+# the nome route to this relative error, or the cell is flagged with
+# SUMS_CANCELLED (no pass key) where they cancel.
+SUM_ROUTE_RTOL = 1e-12
+SUMS_CANCELLED = ("the shifted sums cancel: m~ misses the nome route by more than "
+                  f"{SUM_ROUTE_RTOL:g} relative")
+
 
 def format_sig4(value: float) -> str:
     """Leading-dot mantissa with 4 significant digits, e.g. '.2944e-1'.
 
-    0 and 1 print bare; an exponent of zero is omitted ('.1111').
+    0 and 1 print bare; an exponent of zero is omitted ('.1111'); a
+    negative value prints with a leading minus ('-.5000').
     """
     if value == 0.0:
         return "0"
+    if value < 0.0:
+        return "-" + format_sig4(-value)
     if value == 1.0:
         return "1"
     exp = math.floor(math.log10(abs(value))) + 1
@@ -145,18 +155,27 @@ def _family_records(grid: int, tol: float):
     records = []
     for p in range(2, 8):
         for m in M_GRID:
-            tilde = {}
+            sums = {}
             for family in (Family.DN, Family.CN, Family.SN):
                 spec = LandenSpec(family, p)
                 res = verify_identity(spec, m, grid)
                 records.append({"check": f"identity-{family.value}", "p": p, "m": m,
                                 "max_abs": res.max_abs, "tol": tol,
                                 "pass": res.max_abs <= tol})
-                tilde[family] = coefficients(spec, m).m_tilde
-            vals = list(tilde.values())
+                sums[family] = sum_route_m_tilde(spec, m)
+            vals = list(sums.values())
             worst = max(abs(a - b) for a in vals for b in vals)
             records.append({"check": "m-tilde-agreement", "p": p, "m": m,
                             "max_abs": worst, "tol": tol, "pass": worst <= tol})
+            for family, value in sums.items():
+                nome = coefficients(LandenSpec(family, p), m).m_tilde
+                rel = abs(value - nome) / nome
+                record = {"check": f"sum-route-{family.value}", "p": p, "m": m}
+                if rel <= SUM_ROUTE_RTOL:
+                    record.update({"max_abs": rel, "tol": SUM_ROUTE_RTOL, "pass": True})
+                else:
+                    record.update({"rel_err": rel, "flagged": SUMS_CANCELLED})
+                records.append(record)
     return records
 
 
@@ -175,7 +194,7 @@ def _first_integral_route(fam):
     except NoClosedFormError:
         closed = None
     return (c, float(values.max() - values.min()), closed, classify(c),
-            coefficients(fam.spec, fam.m).m_tilde)
+            fam.m_tilde)
 
 
 def _sine_gordon_records(tol: float):

@@ -25,6 +25,7 @@ returns.  The results are bit-identical to serial evaluation.
 from __future__ import annotations
 
 import contextvars
+import math
 import os
 import threading
 import warnings
@@ -97,23 +98,61 @@ def _validate_m(m, *, below_one=False, above_zero=False, what="parameter m"):
 def _agm_chain(m, dtype):
     """AGM scale factors a_n and half-differences c_n for parameter m.
 
-    Returns (a, c, n) where a[n] is the converged mean.  Iteration stops
-    when |a - b| drops below the dtype's resolution relative to a, with a
-    hard cap of 32 levels (quadratic convergence reaches it in <= 10 for
-    any m representable away from 1).
+    Returns (a, c, n) where a[n] is the converged mean of AGM(1, sqrt(1 - m))
+    and c[0] = sqrt(m).
     """
-    one = dtype.type(1)
+    md = dtype.type(m)
+    a, c = _agm_levels(np.sqrt(dtype.type(1) - md), dtype)
+    return a, [np.sqrt(md)] + c, len(c)
+
+
+def _agm_levels(b, dtype):
+    """Levels of AGM(1, b): means a[0..n] and half-differences c[1..n].
+
+    Returns (a, c) with a[0] = 1 and c[i-1] = (a[i-1] - b[i-1]) / 2.
+    Iteration stops when |a - b| drops below the dtype's resolution
+    relative to a, with a hard cap of 32 levels (quadratic convergence
+    reaches it in <= 10 for any parameter representable away from 1).
+    """
     rtol = _AGM_RTOL[dtype]
-    a = [one]
-    c = [np.sqrt(dtype.type(m))]
-    b = np.sqrt(one - dtype.type(m))
-    n = 0
-    while n < _AGM_MAX_ITER and abs(a[n] - b) > rtol * a[n]:
-        a.append((a[n] + b) / dtype.type(2))
-        c.append((a[n] - b) / dtype.type(2))
-        b = np.sqrt(a[n] * b)
-        n += 1
-    return a, c, n
+    two = dtype.type(2)
+    a = [dtype.type(1)]
+    c = []
+    while len(c) < _AGM_MAX_ITER and abs(a[-1] - b) > rtol * a[-1]:
+        a_prev = a[-1]
+        a.append((a_prev + b) / two)
+        c.append((a_prev - b) / two)
+        b = np.sqrt(a_prev * b)
+    return a, c
+
+
+def _nome(m, dtype):
+    """(log q, K(m)) for 0 < m < 1, with the nome q = exp(-pi K'/K).
+
+    K = pi / (2 AGM(1, sqrt(1 - m))) and K' = K(1 - m) = pi / (2 AGM(1,
+    sqrt(m))) (DLMF 19.8.5, 22.2.1).  The second chain starts from sqrt(m),
+    so 1 - m is never formed and q keeps its relative accuracy at small m.
+    """
+    a_k = _agm_chain(m, dtype)[0][-1]
+    a_kp = _agm_levels(np.sqrt(dtype.type(m)), dtype)[0][-1]
+    return -_PI[dtype] * a_k / a_kp, _PI[dtype] / (dtype.type(2) * a_k)
+
+
+def _from_nome(log_q, dtype):
+    """(m, K(m)) of the parameter whose nome is q = exp(log_q) < 1.
+
+    m = (theta2(q) / theta3(q))^4 = 16 q (sum_{n>=0} q^(n(n+1)) / theta3)^4
+    (DLMF 20.2.2-3, 22.2.2) and K(m) = (pi / 2) theta3(q)^2 (DLMF 20.9.2),
+    theta3(q) = 1 + 2 sum_{n>=1} q^(n^2).  Both series stop once their
+    terms fall below the dtype's eps.  For small q, m underflows in the
+    dtype before the series lose accuracy.
+    """
+    log_eps = math.log(np.finfo(dtype).eps)
+    n = np.arange(int(math.sqrt(log_eps / float(log_q))) + 2, dtype=dtype)
+    theta2_reduced = np.sum(np.exp(n * (n + 1) * log_q))
+    theta3 = 1 + 2 * np.sum(np.exp(n[1:] ** 2 * log_q))
+    m = 16 * np.exp(log_q) * (theta2_reduced / theta3) ** 4
+    return m, _PI[dtype] / 2 * theta3 ** 2
 
 
 def complete_elliptic_k(m, *, dtype=np.float64):

@@ -11,23 +11,29 @@ by equal fractions of the period (4K/p for odd p, 2K/p for even p):
     sn, p odd   sn(x, m~) = a3 * sum_i sn(a1 x + 4(i-1)K/p, m)
     sn, p even  A5 a2 sn(x, m~) = prod_i sn(a2 x + 2(i-1)K/p, m)
 
-The normalization constants are reciprocals of the corresponding sums of
+In the paper the normalization constants are reciprocals of the sums of
 shifted function values at x = 0, and m~ follows from cubic sums (A1..A4)
-or the shift product A5; see :func:`coefficients`.  For p = 2 every family
-collapses to the classical quadratic map of :mod:`landen.classic`.
+or the shift product A5.  Those sums cancel at small m and large p, so
+:func:`coefficients` takes every value from the nome instead: with
+q = exp(-pi K'/K) from two AGM chains, m~ = (theta2(q^p)/theta3(q^p))^4,
+K(m~) = (pi/2) theta3(q^p)^2, and the argument scale K(m) / (p K(m~))
+fixes the rest.  The paper's sums stay as a second route,
+:func:`sum_route_m_tilde`, which verify checks against the first.  For
+p = 2 every family collapses to the classical quadratic map of
+:mod:`landen.classic`.
 
 The shifted combination itself (signed sum or product of the p terms) is
 built in one place, used both for the right-hand sides here and for the
 superposed solutions psi of :mod:`landen.sine_gordon`, which are the same
 combinations with other scale factors.
 
-Numerics: the defining sums suffer severe cancellation for large p and
-small m (the normalizations grow like 1e5 and beyond), which in pure
-binary64 leaves identity residuals near 1e-9.  All internal sums therefore
-run in extended precision (np.longdouble) with compensated accumulation
-and results are rounded to float64 at the API boundary.  Where even that
-fails for 0 < m < 1, with m~ outside [0, m] or a normalization that is not
-finite, the coefficients raise ArithmeticError instead of returning a value.
+Numerics: the p-term side cancels for large p and small m (the
+normalizations grow like 1e5 and beyond), which in pure binary64 leaves
+identity residuals near 1e-9.  Coefficients and sums therefore run in
+extended precision (np.longdouble), sums with compensated accumulation,
+and results are rounded to float64 at the API boundary.  The nome route
+holds its relative accuracy while m~ = 16 q^p (1 + O(q^p)) stays a normal
+float64; beyond that the coefficients raise ArithmeticError.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from enum import Enum
 
 import numpy as np
 
-from .elliptic import _validate_m, complete_elliptic_k, jacobi_eval
+from .elliptic import _from_nome, _nome, _validate_m, complete_elliptic_k, jacobi_eval
 
 __all__ = [
     "Family",
@@ -52,6 +58,7 @@ __all__ = [
     "m_tilde_closed_p3",
     "m_tilde_closed_p4",
     "a5_product",
+    "sum_route_m_tilde",
 ]
 
 _LD = np.dtype(np.longdouble)
@@ -60,6 +67,10 @@ _LD = np.dtype(np.longdouble)
 # underflows toward zero (every dn tends to 1) and its reciprocal is
 # noise; the operation refuses rather than fabricate a value.
 CN_EVEN_MIN_M = 1e-8
+
+# The nome route's own limit: m~ = 16 q^p (1 + O(q^p)) must stay a normal
+# float64, which holds up to p = 141 at m = 0.1.
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 class Family(str, Enum):
@@ -127,14 +138,15 @@ def _csum(terms):
 
 @dataclass(frozen=True)
 class _Raw:
-    """Coefficient set in working precision, plus the shift geometry."""
+    """Coefficient set in working precision, plus the shift geometry and
+    the quarter period K(m~) of the single-function side."""
 
     alpha: object
     a_sum: object
     m_tilde: object
     arg_scale: object
-    big_k: object
     step: object
+    big_k_tilde: object
 
 
 def _shift_step(big_k, p, odd, dtype):
@@ -143,24 +155,16 @@ def _shift_step(big_k, p, odd, dtype):
 
 
 def _raw_coefficients(spec, m, dtype=_LD):
-    """_shift_sums, refused where the sums have visibly cancelled.
+    """Coefficients of one family at m from the nome, in working precision.
 
-    For 0 < m < 1 a cell whose m~ falls outside [0, m], or whose alpha or
-    argument scale is not finite, raises ArithmeticError: the cubic sums
-    lost every significant digit there and no value would be right.
+    For 0 < m < 1: q~ = q(m)^p gives m~ and K(m~) (elliptic._from_nome),
+    s = K(m) / (p K(m~)) is the argument scale of every family, alpha is s,
+    s sqrt(m/m~) (odd cn and sn) or s / sqrt(m~) (even cn), and a_sum
+    solves that family's m~ formula.  m~ below float64's smallest normal
+    value (16 q^p underflows), or a coefficient that is not finite, raises
+    ArithmeticError.
     """
     m = _validate_m(m)
-    raw = _shift_sums(spec, m, dtype)
-    if 0.0 < m < 1.0 and not (0 <= raw.m_tilde <= m and np.isfinite(raw.alpha)
-                              and np.isfinite(raw.arg_scale)):
-        raise ArithmeticError(
-            f"{spec.family.value} p = {spec.p} coefficients cancelled at m = {m!r}: "
-            f"m~ = {float(raw.m_tilde)!r}, alpha = {float(raw.alpha)!r}, "
-            f"arg_scale = {float(raw.arg_scale)!r}")
-    return raw
-
-
-def _shift_sums(spec, m, dtype):
     family, p, odd = spec.family, spec.p, spec.odd
     one = dtype.type(1)
 
@@ -175,75 +179,108 @@ def _shift_sums(spec, m, dtype):
         a_sum = None if (family is Family.SN and odd) else 1.0
         return _Raw(one, a_sum, one, one, math.inf, math.inf)
 
-    big_k = complete_elliptic_k(m, dtype=dtype)
-    step = _shift_step(big_k, p, odd, dtype)
     if m == 0.0:
+        big_k = complete_elliptic_k(m, dtype=dtype)
+        step = _shift_step(big_k, p, odd, dtype)
         inv_p = one / dtype.type(p)
         if family is Family.DN:
-            return _Raw(inv_p, dtype.type(p), dtype.type(0), inv_p, big_k, step)
+            return _Raw(inv_p, dtype.type(p), dtype.type(0), inv_p, step, big_k)
         if family is Family.SN and not odd:
             a5 = dtype.type(p) / dtype.type(2) ** (p - 1)
-            return _Raw(inv_p, a5, dtype.type(0), inv_p, big_k, step)
+            return _Raw(inv_p, a5, dtype.type(0), inv_p, step, big_k)
         if family is Family.SN:
             # sum of equally spaced cosines vanishes, so a3 diverges; the
             # parameter map still has the clean limit m~ = 0 and the inner
             # scale a1 -> 1/p.
-            return _Raw(math.inf, None, dtype.type(0), inv_p, big_k, step)
+            return _Raw(math.inf, None, dtype.type(0), inv_p, step, big_k)
         # odd cn: normalization diverges like the odd sn case and the inner
         # scale b = a3 sqrt(m~/m) has no closed limit worth fabricating.
         shifts = step * np.arange(p, dtype=dtype)
         a3_cubes = _csum(list(jacobi_eval(shifts, m, dtype=dtype).cn ** 3))
-        return _Raw(math.inf, a3_cubes, dtype.type(0), math.nan, big_k, step)
+        return _Raw(math.inf, a3_cubes, dtype.type(0), math.nan, step, big_k)
 
-    shifts = step * np.arange(p, dtype=dtype)
-    sn, cn, dn = jacobi_eval(shifts, m, dtype=dtype)
-    two = dtype.type(2)
-    md = dtype.type(m)
+    log_q, big_k = _nome(m, dtype)
+    m_tilde, big_k_tilde = _from_nome(p * log_q, dtype)
+    if not m_tilde >= _TINY:
+        raise ArithmeticError(
+            f"{family.value} p = {p} is beyond the nome route at m = {m!r}: "
+            f"m~ = 16 q^p = {float(m_tilde)!r} is below the smallest normal "
+            f"float64 {_TINY!r}")
+    two, md = dtype.type(2), dtype.type(m)
+    s = big_k / (dtype.type(p) * big_k_tilde)
+    if family is Family.DN:
+        alpha = s
+        a_sum = (m_tilde - (md - two) * alpha ** 2) / (two * alpha ** 3)
+    elif family is Family.CN and odd:
+        alpha = s * np.sqrt(md / m_tilde)
+        a_sum = (md / m_tilde - (one - two * md) * alpha ** 2) / (two * md * alpha ** 3)
+    elif family is Family.CN:
+        alpha = s / np.sqrt(m_tilde)
+        a_sum = (one / m_tilde - (md - two) * alpha ** 2) / (two * alpha ** 3)
+    elif odd:  # sn, p odd: m~ = m a1^2 / a3^2 involves no sum constant
+        alpha, a_sum = s * np.sqrt(md / m_tilde), None
+    else:  # sn, p even: m~ = m^p a2^4 A5^4
+        alpha = s
+        a_sum = (m_tilde / (md ** p * alpha ** 4)) ** dtype.type(0.25)
+    if not (np.isfinite(alpha) and np.isfinite(s) and (a_sum is None or np.isfinite(a_sum))):
+        raise ArithmeticError(
+            f"{family.value} p = {p} coefficients are not finite at m = {m!r}: "
+            f"alpha = {float(alpha)!r}, arg_scale = {float(s)!r}")
+    return _Raw(alpha, a_sum, m_tilde, s, _shift_step(big_k, p, odd, dtype), big_k_tilde)
+
+
+def sum_route_m_tilde(spec: LandenSpec, m) -> float:
+    """m~ by the paper's own route, the second one behind the nome route.
+
+    The p shifted terms at x = 0 give the normalization and the cubic sum
+    (A1..A4) or, for even sn, the shift product A5, and m~ follows from
+    the printed formulas.  These cancel at small m and large p (dn at
+    p = 7, m = 0.1 is 6.5e-7 relative off), so verify compares them with
+    the nome route instead of using them.  Needs 0 < m < 1.
+    """
+    m = _validate_m(m, below_one=True, above_zero=True, what="sum-route parameter m")
+    family, p, odd = spec.family, spec.p, spec.odd
+    one, two, md = _LD.type(1), _LD.type(2), _LD.type(m)
+    step = _shift_step(complete_elliptic_k(m, dtype=_LD), p, odd, _LD)
+    sn, cn, dn = jacobi_eval(step * np.arange(p, dtype=_LD), m, dtype=_LD)
 
     if family is Family.DN:
         alpha = one / _csum(list(dn))
-        a_sum = _csum(list(dn ** 3))
-        m_tilde = (md - two) * alpha ** 2 + two * alpha ** 3 * a_sum
-        return _Raw(alpha, a_sum, m_tilde, alpha, big_k, step)
-
-    if family is Family.CN and odd:
+        m_tilde = (md - two) * alpha ** 2 + two * alpha ** 3 * _csum(list(dn ** 3))
+    elif family is Family.CN and odd:
         alpha = one / _csum(list(cn))
         a_sum = _csum(list(cn ** 3))
         m_tilde = md / ((one - two * md) * alpha ** 2 + two * md * alpha ** 3 * a_sum)
-        arg_scale = alpha * np.sqrt(m_tilde) / np.sqrt(md)
-        return _Raw(alpha, a_sum, m_tilde, arg_scale, big_k, step)
-
-    if family is Family.CN:
-        signs = np.where(np.arange(p) % 2 == 0, one, -one)
-        alpha = one / _csum(list(signs * dn))
-        a_sum = _csum(list(signs * dn ** 3))
+    elif family is Family.CN:
+        alpha = one / _csum(_alternate(dn))
+        a_sum = _csum(_alternate(dn ** 3))
         m_tilde = one / ((md - two) * alpha ** 2 + two * alpha ** 3 * a_sum)
-        return _Raw(alpha, a_sum, m_tilde, alpha * np.sqrt(m_tilde), big_k, step)
-
-    if odd:  # sn, p odd
-        a1 = one / _csum(list(dn))
-        a3 = one / _csum(list(cn))
+    elif odd:
+        a1, a3 = one / _csum(list(dn)), one / _csum(list(cn))
         m_tilde = md * a1 ** 2 / a3 ** 2
-        return _Raw(a3, None, m_tilde, a1, big_k, step)
-
-    # sn, p even
-    a2 = one / _csum(list(dn))
-    interior = step * np.arange(1, p, dtype=dtype)
-    a5 = np.prod(jacobi_eval(interior, m, dtype=dtype).sn)
-    m_tilde = md ** p * a2 ** 4 * a5 ** 4
-    return _Raw(a2, a5, m_tilde, a2, big_k, step)
+    else:
+        a2 = one / _csum(list(dn))
+        m_tilde = md ** p * a2 ** 4 * np.prod(sn[1:]) ** 4
+    return float(m_tilde)
 
 
 def coefficients(spec: LandenSpec, m) -> LandenCoefficients:
     """Normalization alpha, constant A (or A5), transformed parameter m~,
     and argument scale for one family at parameter m.
 
-    m = 0 and m = 1 return the analytic limits rather than evaluating the
-    defining sums (the quarter period diverges at m = 1; several sums
-    vanish at m = 0).  The even cn family raises
-    AlternatingSumDegenerateError below ``CN_EVEN_MIN_M``, and a cell whose
-    sums have cancelled (m~ outside [0, m], alpha or the argument scale not
-    finite) raises ArithmeticError.
+    For 0 < m < 1 every value comes from the nome q of m and two AGM
+    chains: m~ = (theta2(q^p) / theta3(q^p))^4, K(m~) = (pi/2) theta3^2,
+    the argument scale s = K(m) / (p K(m~)), alpha from s, and the sum
+    constant from the family's m~ formula solved for it.  The paper's
+    shifted sums are not evaluated here; :func:`sum_route_m_tilde` keeps
+    them as verify's second route.
+
+    m = 0 and m = 1 return the analytic limits (the quarter period
+    diverges at m = 1; several normalizations diverge at m = 0).  The even
+    cn family raises AlternatingSumDegenerateError below ``CN_EVEN_MIN_M``.
+    A cell past the nome route's range, where m~ = 16 q^p underflows
+    float64's smallest normal value (about p = 140 at m = 0.1), raises
+    ArithmeticError.
     """
     raw = _raw_coefficients(spec, m)
     a_sum = None if raw.a_sum is None else float(raw.a_sum)
@@ -337,14 +374,18 @@ def verify_identity(spec: LandenSpec, m, grid_points: int = 128) -> IdentityResi
     """Residual |lhs - rhs| of one identity over a uniform grid.
 
     The grid spans one full period of the left-hand side: [0, 2 K(m~)] for
-    the dn family, [0, 4 K(m~)] for cn and sn.
+    the dn family, [0, 4 K(m~)] for cn and sn.  Since the coefficients come
+    from the nome route, not from the shifted sums, the residual tests the
+    identity itself, at x = 0 too.
     """
     if grid_points < 16:
         raise ValueError(f"grid_points must be at least 16, got {grid_points}")
+    m = _validate_m(m, below_one=True,
+                    what="parameter m of an identity (its period diverges at m = 1)")
     raw = _raw_coefficients(spec, m)
     m_tilde = float(raw.m_tilde)
     width = 2.0 if spec.family is Family.DN else 4.0
-    span = width * float(complete_elliptic_k(m_tilde))
+    span = width * float(raw.big_k_tilde)
     xs = np.linspace(0.0, span, grid_points)
 
     rhs = _rhs_from_raw(raw, spec, m, xs)

@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .elliptic import _validate_m, complete_elliptic_k
+from .elliptic import _validate_m
 from .general import Family, LandenSpec, _raw_coefficients, _superpose
 
 __all__ = [
@@ -136,6 +136,11 @@ class SolutionFamily:
     def _raw(self):
         """The family's coefficients at m, built once per solution."""
         return _raw_coefficients(self.spec, self.m)
+
+    @property
+    def m_tilde(self) -> float:
+        """The transformed parameter m~(p, m) of the family's identity."""
+        return float(self._raw.m_tilde)
 
     @property
     def sign_convention(self) -> SignConvention:
@@ -235,8 +240,8 @@ def solution_period(fam: SolutionFamily) -> float:
     """Period of psi in the solution's own coordinate (inf at m = 1)."""
     if fam.m == 1.0:
         return math.inf
-    m_tilde = float(fam._raw.m_tilde)
-    quarter = float(complete_elliptic_k(m_tilde))
+    m_tilde = fam.m_tilde
+    quarter = float(fam._raw.big_k_tilde)
     if fam.family is Family.DN:
         return 2.0 * quarter
     if fam.family is Family.CN:

@@ -74,11 +74,28 @@ class TestCoeffs:
         assert code == 2
         assert json.loads(out)["status"] == "Degenerate"
 
-    def test_cancelled_cell_refused(self, capsys):
+    def test_small_m_cell_matches_nome_route(self, capsys, nome_route):
+        # the cubic sums cancelled here to m~ = -1.4e-20 and the cell was refused
         code, out, err = run_cli(capsys, "coeffs", "--family", "dn", "--p", "4",
                                  "--m", "1e-6")
+        assert code == 0 and err == ""
+        want = nome_route(4, 1e-6)[0]
+        assert abs(json.loads(out)["m_tilde"] - want) <= 1e-12 * want
+
+    def test_no_warning_where_sqrt_went_negative(self, capsys, nome_route):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "coeffs", "--family", "cn", "--p", "9",
+                                     "--m", "1e-4")
+        assert code == 0 and err == ""
+        want = nome_route(9, 1e-4)[0]
+        assert abs(json.loads(out)["m_tilde"] - want) <= 1e-12 * want
+
+    def test_beyond_the_nome_route_refused(self, capsys):
+        code, out, err = run_cli(capsys, "coeffs", "--family", "dn", "--p", "142",
+                                 "--m", "0.1")
         assert code == 2 and out == ""
-        assert err.startswith("error: dn p = 4 coefficients cancelled at m = 1e-06")
+        assert err.startswith("error: dn p = 142 is beyond the nome route at m = 0.1")
 
     def test_byte_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "coeffs", "--family", "cn", "--p", "5",
@@ -121,6 +138,19 @@ class TestTable:
                 expected = coefficients(LandenSpec(Family.DN, p), m).m_tilde
                 assert float(parts[1 + j]) == expected
 
+    def test_tiny_m_row(self, capsys, nome_route):
+        # m = 1e-12 used to refuse the whole table
+        code, out, err = run_cli(capsys, "table", "--m-list", "0,1e-12,0.5",
+                                 "--format", "full")
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert len(lines) == 4 and lines[1] == "0," + ",".join(["0.0"] * 6)
+        for line in lines[2:]:
+            parts = line.split(",")
+            for p, text in zip(range(2, 8), parts[1:]):
+                want = nome_route(p, float(parts[0]))[0]
+                assert abs(float(text) - want) <= 1e-12 * want, (parts[0], p)
+
     def test_out_file_lf_endings(self, capsys, tmp_path):
         target = tmp_path / "table.csv"
         code, out, _ = run_cli(capsys, "table", "--out", str(target))
@@ -144,6 +174,13 @@ class TestFormatSig4:
         (0.99996, ".1000e1"),  # rounds up through the top of the mantissa range
     ])
     def test_values(self, value, text):
+        assert format_sig4(value) == text
+
+    @pytest.mark.parametrize("value,text", [
+        (-1.355e-20, "-.1355e-19"), (-0.5, "-.5000"), (-1.0, "-1"),
+        (-0.99996, "-.1000e1"), (-0.0, "0"),
+    ])
+    def test_negative_values_keep_their_sign(self, value, text):
         assert format_sig4(value) == text
 
 
@@ -216,13 +253,17 @@ class TestSgCheck:
         assert code == 2
         assert json.loads(out)["status"] == "Degenerate"
 
-    def test_cancelled_cell_refused(self, capsys):
-        # the cancelled m~ is refused where it is built, not later as a
-        # parameter of K(m~)
+    def test_tiny_m_tilde_cell(self, capsys, nome_route):
+        # once refused as cancelled: m~ = 2.4e-52 is now right, and psi =
+        # dn(x, m~) never leaves the |psi| ~ 1 band, so C is not measurable
+        code, out, err = run_cli(capsys, "coeffs", "--family", "dn", "--p", "4",
+                                 "--m", "1e-12")
+        want = nome_route(4, 1e-12)[0]
+        assert code == 0 and abs(json.loads(out)["m_tilde"] - want) <= 1e-12 * want
         code, out, err = run_cli(capsys, "sg-check", "--family", "dn", "--p", "4",
                                  "--m", "1e-12")
-        assert code == 2 and out == ""
-        assert err.startswith("error: dn p = 4 coefficients cancelled at m = 1e-12")
+        assert code == 2 and err == ""
+        assert json.loads(out) == {"status": "Degenerate", "reason": C_NOT_MEASURABLE}
 
     @pytest.mark.parametrize("p,m", UNMEASURABLE_DN_CELLS)
     def test_unmeasurable_first_integral_is_degenerate(self, capsys, p, m):
@@ -265,6 +306,31 @@ def test_sine_gordon_record_layout(tmp_path):
     skips = [r for r in records if "skipped" in r]
     assert len(skips) == len(UNMEASURABLE_DN_CELLS)
     assert all(r["skipped"] == C_NOT_MEASURABLE and "pass" not in r for r in skips)
+
+
+# (p, m) of the dn cells whose shifted sums miss the nome route by more than
+# 1e-12 relative; every other sum-route record passes
+SUMS_CANCEL_DN_CELLS = [(5, 0.1), (6, 0.1), (6, 0.25), (7, 0.1), (7, 0.25)]
+
+
+def test_sum_route_records(tmp_path):
+    target = tmp_path / "verify.json"
+    assert main(["verify", "--scope", "family", "--out", str(target)]) == 0
+    records = json.loads(target.read_text())["results"]
+    cells = [(p, m) for p in range(2, 8) for m in M_GRID]
+    assert [r["check"] for r in records] == [
+        f"{check}-{family}" if family else check for _ in cells
+        for check, family in [("identity", "dn"), ("identity", "cn"), ("identity", "sn"),
+                              ("m-tilde-agreement", ""), ("sum-route", "dn"),
+                              ("sum-route", "cn"), ("sum-route", "sn")]]
+    routes = [r for r in records if r["check"].startswith("sum-route-")]
+    flagged = [r for r in routes if "flagged" in r]
+    assert [(r["check"], r["p"], r["m"]) for r in flagged] == [
+        ("sum-route-dn", p, m) for p, m in SUMS_CANCEL_DN_CELLS]
+    assert all("pass" not in r and r["rel_err"] > 1e-12 for r in flagged)
+    held = [r for r in routes if "flagged" not in r]
+    assert len(held) == 3 * len(cells) - len(SUMS_CANCEL_DN_CELLS)
+    assert all(r["pass"] and r["max_abs"] <= r["tol"] == 1e-12 for r in held)
 
 
 def test_module_entry_point():

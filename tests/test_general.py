@@ -1,17 +1,19 @@
 """Tests for the multi-term transformation machinery."""
 
-import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from landen import general
 from landen.classic import classic_dn_two_term, classic_m_tilde
 from landen.elliptic import complete_elliptic_k, jacobi_eval
-from landen.general import (AlternatingSumDegenerateError, Family, LandenSpec,
-                            _csum, _raw_coefficients, _rhs_from_raw, a5_product,
-                            coefficients,
+from landen.general import (CN_EVEN_MIN_M, AlternatingSumDegenerateError, Family,
+                            LandenSpec, _csum, _raw_coefficients, _rhs_from_raw,
+                            a5_product, coefficients,
                             m_tilde_closed_p3, m_tilde_closed_p4, transform_rhs,
                             verify_identity)
 
@@ -144,29 +146,105 @@ class TestTransformRhs:
             transform_rhs(spec(Family.DN, 3), 1.0, 0.3)
 
 
-class TestCancellationGuard:
-    # cells whose cubic sums cancel to nothing: dn p = 4 gives m~ = -1.4e-20,
-    # odd cn p = 9 gives alpha = -3.4e18 and a NaN argument scale
+class TestNomeRoute:
+    # the four cells the cubic sums cancelled on (dn p = 4 gave m~ = -1.4e-20,
+    # odd cn p = 9 an alpha of -3.4e18), and the cell whose m~ was once
+    # forged past m: the nome route gets each right
     @pytest.mark.parametrize("family,p,m", [(Family.DN, 4, 1e-6), (Family.DN, 4, 1e-12),
-                                            (Family.DN, 8, 1e-12), (Family.CN, 9, 1e-4)])
-    def test_cancelled_cell_refused(self, family, p, m):
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(ArithmeticError, match="cancelled"):
-                coefficients(spec(family, p), m)
-            with pytest.raises(ArithmeticError, match="cancelled"):
-                transform_rhs(spec(family, p), m, 0.3)
+                                            (Family.DN, 8, 1e-12), (Family.CN, 9, 1e-4),
+                                            (Family.DN, 3, 0.5)])
+    def test_m_tilde_matches_nome_route(self, nome_route, family, p, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mt = coefficients(spec(family, p), m).m_tilde
+        want = nome_route(p, m)[0]
+        assert abs(mt - want) <= 1e-12 * want
+        assert 0.0 < mt < m
 
-    def test_m_tilde_above_m_refused(self, monkeypatch):
-        # no cell is known to overshoot m, so forge one to check that bound
-        real = general._shift_sums
+    @pytest.mark.parametrize("m", (1e-6, 0.05, 0.1, 0.25, 0.5, 0.9, 0.99, 0.9999))
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_all_kinds_match_nome_route(self, nome_route, family, m):
+        # p 2..12 covers both parities, so all six kinds
+        for p in range(2, 13):
+            co = coefficients(spec(family, p), m)
+            mt, s = nome_route(p, m)
+            assert abs(co.m_tilde - mt) <= 1e-12 * mt, (p, co.m_tilde, mt)
+            assert abs(co.arg_scale - s) <= 1e-12 * s, (p, co.arg_scale, s)
+            if family is Family.CN and p % 2 == 0:
+                alpha = s / np.sqrt(mt)
+            elif family is Family.DN or p % 2 == 0:
+                alpha = s
+            else:
+                alpha = s * np.sqrt(m / mt)
+            assert abs(co.alpha - alpha) <= 1e-12 * alpha, (p, co.alpha, alpha)
 
-        def overshoot(s, m, dtype):
-            raw = real(s, m, dtype)
-            return dataclasses.replace(raw, m_tilde=raw.m_tilde + LD(m))
+    def test_no_jacobi_eval_inside(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("jacobi_eval called on the coefficient path")
 
-        monkeypatch.setattr(general, "_shift_sums", overshoot)
-        with pytest.raises(ArithmeticError, match="cancelled"):
-            coefficients(spec(Family.DN, 3), 0.5)
+        monkeypatch.setattr(general, "jacobi_eval", forbidden)
+        for family in ALL_FAMILIES:
+            for p in range(2, 13):
+                for m in (1e-6,) + M_GRID + (1 - 1e-9,):
+                    _raw_coefficients(spec(family, p), m)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_beyond_the_nome_route_refused(self, nome_route, family):
+        # 16 q^p falls below float64's smallest normal value from p = 142 at
+        # m = 0.1; p = 141 is the last cell served
+        mt = coefficients(spec(family, 141), 0.1).m_tilde
+        assert abs(mt - nome_route(141, 0.1)[0]) <= 1e-12 * mt
+        for p in (142, 400):
+            with pytest.raises(ArithmeticError, match="beyond the nome route"):
+                coefficients(spec(family, p), 0.1)
+            with pytest.raises(ArithmeticError, match="beyond the nome route"):
+                transform_rhs(spec(family, p), 0.1, 0.3)
+
+    def test_no_numpy_warning_on_the_coefficient_grid(self):
+        # the benchmark's 297-cell coeffs grid plus three small parameters;
+        # odd cn at p = 9, m = 1e-4 used to print an invalid-sqrt warning
+        ms = (1e-12, 1e-6, 1e-4, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 0.9999)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for family in ALL_FAMILIES:
+                for p in range(2, 13):
+                    for m in ms:
+                        if family is Family.CN and p % 2 == 0 and m < CN_EVEN_MIN_M:
+                            with pytest.raises(AlternatingSumDegenerateError):
+                                coefficients(spec(family, p), m)
+                            continue
+                        co = coefficients(spec(family, p), m)
+                        assert 0.0 < co.m_tilde < m
+                        assert np.isfinite(co.alpha) and np.isfinite(co.arg_scale)
+
+
+M_RANGE = st.floats(1e-6, 0.9999)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers(2, 5), b=st.integers(2, 5), m=M_RANGE)
+def test_composition_law(a, b, m):
+    # q(m~(b, m)) = q(m)^b, so mapping by b and then by a is mapping by ab
+    inner = coefficients(spec(Family.DN, b), m).m_tilde
+    composed = coefficients(spec(Family.DN, a), inner).m_tilde
+    direct = coefficients(spec(Family.DN, a * b), m).m_tilde
+    assert abs(composed - direct) <= 1e-12 * direct
+
+
+@settings(max_examples=200, deadline=None)
+@given(m1=M_RANGE, m2=M_RANGE, p=st.integers(2, 12))
+def test_m_tilde_increasing_in_m(m1, m2, p):
+    lo, hi = sorted((m1, m2))
+    assume(hi - lo > 1e-9 * hi)
+    assert (coefficients(spec(Family.DN, p), lo).m_tilde
+            < coefficients(spec(Family.DN, p), hi).m_tilde)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=M_RANGE, p=st.integers(2, 40))
+def test_m_tilde_decreasing_in_p(m, p):
+    assert (coefficients(spec(Family.DN, p + 1), m).m_tilde
+            < coefficients(spec(Family.DN, p), m).m_tilde)
 
 
 def rhs_per_term(s, m, x):
