@@ -21,7 +21,7 @@ from .general import (AlternatingSumDegenerateError, Family, IdentityResidual,
                       m_tilde_closed_p3, m_tilde_closed_p4, sum_route_m_tilde,
                       transform_rhs, verify_identity)
 from .sine_gordon import (Branch, BranchClassification, FirstIntegralValue,
-                          NoClosedFormError, OdeResidual, SignConvention,
+                          NoClosedFormError, NotMeasurableError, OdeResidual, SignConvention,
                           SolutionFamily, SolutionKind, classify, closed_form_c,
                           default_samples, first_integral, first_integral_samples,
                           ode_residual, psi_derivative, psi_value,
@@ -38,7 +38,7 @@ __all__ = [
     "m_tilde_closed_p3", "m_tilde_closed_p4", "sum_route_m_tilde", "transform_rhs",
     "verify_identity",
     "Branch", "BranchClassification", "FirstIntegralValue", "NoClosedFormError",
-    "OdeResidual", "SignConvention", "SolutionFamily", "SolutionKind",
+    "NotMeasurableError", "OdeResidual", "SignConvention", "SolutionFamily", "SolutionKind",
     "classify", "closed_form_c", "default_samples", "first_integral",
     "first_integral_samples", "ode_residual", "psi_derivative", "psi_value",
     "solution_kind", "solution_period",

@@ -25,17 +25,12 @@ from .classic import (classic_cn, classic_dn, classic_dn_two_term, classic_m_til
 from .elliptic import complete_elliptic_k, jacobi_eval
 from .general import (AlternatingSumDegenerateError, Family, LandenSpec,
                       coefficients, sum_route_m_tilde, verify_identity)
-from .sine_gordon import (NoClosedFormError, SolutionFamily, classify,
-                          closed_form_c, default_samples, first_integral_samples,
+from .sine_gordon import (NoClosedFormError, NotMeasurableError, SolutionFamily,
+                          classify, closed_form_c, default_samples, first_integral,
                           ode_residual, solution_kind)
 
 M_GRID = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
 TABLE_M_DEFAULT = (0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 0.9999, 0.99999, 1.0)
-
-# Reason given by verify and sg-check when fewer than two samples survive:
-# psi never leaves the excluded |psi| ~ 1 band (tiny transformed parameter),
-# so the first integral C is not measurable.
-C_NOT_MEASURABLE = "psi stays within 1e-6 of 1; first integral not measurable"
 
 # verify's second route for m~: the paper's shifted sums must agree with
 # the nome route to this relative error, or the cell is flagged with
@@ -180,21 +175,16 @@ def _family_records(grid: int, tol: float):
 
 
 def _first_integral_route(fam):
-    """What verify and sg-check read off fam's first-integral samples.
-
-    Returns None when fewer than two samples are admissible, else
-    (C, spread of C, closed-form C or None, classify(C), general m~).
+    """What verify and sg-check read off fam's first integral: (value,
+    closed-form C or None, classify(C), general m~).  NotMeasurableError
+    passes through.
     """
-    values = first_integral_samples(fam, default_samples(fam))
-    if values.size < 2:
-        return None
-    c = float(values.mean())
+    value = first_integral(fam, default_samples(fam))
     try:
         closed = closed_form_c(fam)
     except NoClosedFormError:
         closed = None
-    return (c, float(values.max() - values.min()), closed, classify(c),
-            fam.m_tilde)
+    return value, closed, classify(value), fam.m_tilde
 
 
 def _sine_gordon_records(tol: float):
@@ -204,18 +194,19 @@ def _sine_gordon_records(tol: float):
             for family in Family:
                 fam = SolutionFamily(solution_kind(family, p), p, m)
                 kind = fam.kind.value
-                route = _first_integral_route(fam)
-                if route is None:
+                try:
+                    value, closed, verdict, target = _first_integral_route(fam)
+                except NotMeasurableError as exc:
                     records.append({"check": f"c-route-{kind}", "p": p, "m": m,
-                                    "skipped": C_NOT_MEASURABLE})
+                                    "skipped": str(exc)})
                     continue
-                c, spread, closed, verdict, target = route
+                c = value.c
                 scale = max(1.0, abs(c))
                 if fam.family is Family.CN:
                     violation = max(0.0, 2.0 - c)
                 else:
                     violation = max(0.0, -2.0 - c, c - 2.0)
-                checks = [("c-constancy", spread / scale), ("c-range", violation)]
+                checks = [("c-constancy", value.spread / scale), ("c-range", violation)]
                 if closed is not None:
                     checks.append(("c-closed-form", abs(c - closed) / scale))
                 # absolute comparison: the implied value (C + 2) / 4 cannot
@@ -227,9 +218,13 @@ def _sine_gordon_records(tol: float):
     return records
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"--tol must be positive and finite, got {tol!r}")
+
+
 def cmd_verify(args) -> int:
-    if args.tol <= 0:
-        raise ValueError("--tol must be positive")
+    _check_tol(args.tol)
     if args.grid < 16:
         raise ValueError("--grid must be at least 16")
     records = []
@@ -248,17 +243,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sg_check(args) -> int:
+    _check_tol(args.tol)
     kind = solution_kind(args.family, args.p)
     try:
         fam = SolutionFamily(kind, args.p, args.m)
-        route = _first_integral_route(fam)
-        if route is None:
-            _emit(_json_doc({"status": "Degenerate", "reason": C_NOT_MEASURABLE}),
-                  args.out)
-            return 2
-        c, spread, closed, verdict, target = route
+        value, closed, verdict, target = _first_integral_route(fam)
         ode = ode_residual(fam, args.grid)
-    except AlternatingSumDegenerateError as exc:
+    except (AlternatingSumDegenerateError, NotMeasurableError) as exc:
         _emit(_json_doc({"status": "Degenerate", "reason": str(exc)}), args.out)
         return 2
     implied = verdict.m_tilde
@@ -267,7 +258,7 @@ def cmd_sg_check(args) -> int:
     doc = {"tool_version": __version__, "command": "sg-check",
            "parameters": {"family": args.family, "p": args.p, "m": args.m,
                           "grid": args.grid, "tol": args.tol},
-           "results": [{"kind": kind.value, "c": c, "c_spread": spread,
+           "results": [{"kind": kind.value, "c": value.c, "c_spread": value.spread,
                         "closed_form_c": closed, "branch": verdict.branch.value,
                         "implied_m_tilde": implied, "general_m_tilde": target,
                         "ode_max_abs": ode.max_abs, "ode_step": ode.step}],

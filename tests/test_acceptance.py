@@ -22,16 +22,14 @@ import time
 import numpy as np
 import pytest
 
-from landen.classic import (classic_cn, classic_dn, classic_dn_two_term,
-                            classic_m_tilde, classic_sn)
+from landen.classic import classic_dn, classic_dn_two_term, classic_m_tilde
 from landen.cli import main
 from landen.elliptic import complete_elliptic_k, jacobi_eval, jacobi_oracle
 from landen.general import (Family, LandenSpec, a5_product, coefficients,
-                            m_tilde_closed_p3, m_tilde_closed_p4, sum_route_m_tilde,
-                            verify_identity)
+                            m_tilde_closed_p3, m_tilde_closed_p4)
 from landen.sine_gordon import (SolutionFamily, SolutionKind, classify,
-                                closed_form_c, default_samples,
-                                first_integral_samples, ode_residual)
+                                closed_form_c, default_samples, first_integral,
+                                ode_residual)
 
 # 4-significant-figure reference values for the transformed-parameter
 # table, p = 2..7 per row
@@ -143,19 +141,37 @@ def test_reference_errata_match_nome_route(capsys):
     assert worst <= 1e-12
 
 
-def test_criterion_2_classic_residuals(capsys):
-    worst = 0.0
+@pytest.fixture(scope="module")
+def verify_run(tmp_path_factory):
+    """The records of one ``landen verify --scope all`` run, and its wall time.
+
+    Criteria 2-4 read their residuals from these records, each filtered to
+    its own cells and judged at its own tolerance, so the acceptance suite
+    and ``landen verify`` share one check implementation.
+    """
+    target = tmp_path_factory.mktemp("verify") / "verify.json"
+    start = time.perf_counter()
+    code = main(["verify", "--scope", "all", "--grid", "128", "--out", str(target)])
+    elapsed = time.perf_counter() - start
+    assert code in (0, 1)  # a Fail elsewhere leaves each criterion its own verdict
+    return json.loads(target.read_text())["results"], elapsed
+
+
+def _cells(records, checks, ms):
+    """(check, p, m) -> max_abs of the records named in `checks` at `ms`."""
+    return {(r["check"], r.get("p"), r["m"]): r["max_abs"] for r in records
+            if r["check"] in checks and r["m"] in ms}
+
+
+def test_criterion_2_classic_residuals(capsys, verify_run):
+    ms = (0.1, 0.5, 0.75, 0.9, 0.99)
+    residuals = _cells(verify_run[0], ("classic-sn", "classic-cn", "classic-dn"), ms)
+    assert len(residuals) == 3 * len(ms)
+    worst = max(residuals.values())
     worst_rewrite = 0.0
-    for m in (0.1, 0.5, 0.75, 0.9, 0.99):
+    for m in ms:
         kp = np.sqrt(1.0 - m)
-        mt = classic_m_tilde(m)
-        span_sc = 4.0 * complete_elliptic_k(mt)
-        span_dn = 2.0 * complete_elliptic_k(mt)
-        for op, span in ((classic_sn, span_sc), (classic_cn, span_sc),
-                         (classic_dn, span_dn)):
-            u = np.linspace(0.0, span, 128) / (1.0 + kp)
-            res = op(u, m)
-            worst = max(worst, float(np.max(np.abs(res.lhs - res.rhs))))
+        span_dn = 2.0 * complete_elliptic_k(classic_m_tilde(m))
         u = np.linspace(0.0, span_dn, 128) / (1.0 + kp)
         ratio = classic_dn(u, m)
         two = classic_dn_two_term((1.0 + kp) * u, m)
@@ -170,36 +186,30 @@ def test_criterion_2_classic_residuals(capsys):
     assert worst_rewrite <= 1e-12
 
 
-def test_criterion_3_generalized_identities(capsys):
-    start = time.perf_counter()
-    worst, worst_cell = 0.0, None
-    for family in (Family.DN, Family.CN, Family.SN):
-        for p in range(2, 8):
-            for m in (0.1, 0.5, 0.9):
-                res = verify_identity(LandenSpec(family, p), m, 128)
-                if res.max_abs > worst:
-                    worst, worst_cell = res.max_abs, (family.value, p, m)
-    elapsed = time.perf_counter() - start
+def test_criterion_3_generalized_identities(capsys, verify_run):
+    records, elapsed = verify_run
+    residuals = _cells(records, ("identity-dn", "identity-cn", "identity-sn"),
+                       (0.1, 0.5, 0.9))
+    assert len(residuals) == 54
+    check, p, m = max(residuals, key=residuals.get)
+    worst, worst_cell = residuals[check, p, m], (check.removeprefix("identity-"), p, m)
     ok = worst <= 1e-10 and elapsed < 30.0
     with capsys.disabled():
         _report(3, "generalized identities, 54 cells", ok,
                 f"max residual {worst:.3e} at {worst_cell} (tol 1e-10), "
-                f"{elapsed:.2f}s")
+                f"verify --scope all in {elapsed:.2f}s")
     assert worst <= 1e-10, worst_cell
     assert elapsed < 30.0
 
 
-def test_criterion_4_cross_family_agreement(capsys):
-    # the paper's sums per family: coefficients() takes m~ from the nome
+def test_criterion_4_cross_family_agreement(capsys, verify_run):
+    # verify's m-tilde-agreement records: the largest pairwise difference of
+    # the paper's sums per family.  coefficients() takes m~ from the nome
     # route for all three, which would agree by construction
-    worst, worst_cell = 0.0, None
-    for p in range(2, 8):
-        for m in (0.25, 0.5, 0.75, 0.9, 0.99):
-            values = [sum_route_m_tilde(LandenSpec(f, p), m)
-                      for f in (Family.DN, Family.CN, Family.SN)]
-            spread = max(values) - min(values)
-            if spread > worst:
-                worst, worst_cell = spread, (p, m)
+    spreads = _cells(verify_run[0], ("m-tilde-agreement",), (0.25, 0.5, 0.75, 0.9, 0.99))
+    assert len(spreads) == 30
+    _, p, m = max(spreads, key=spreads.get)
+    worst, worst_cell = spreads["m-tilde-agreement", p, m], (p, m)
     ok = worst <= 1e-10
     with capsys.disabled():
         _report(4, "cross-family transformed-parameter agreement", ok,
@@ -234,11 +244,10 @@ def test_criterion_6_first_integral_route(capsys):
     failures = []
     for kind, p, m in SG_CELLS:
         fam = SolutionFamily(kind, p, m)
-        values = first_integral_samples(fam, default_samples(fam, 65))
-        c = float(values.mean())
-        spread = float(values.max() - values.min())
-        if spread > 1e-8:
-            failures.append(f"{kind.value} p={p} m={m}: spread {spread:.2e}")
+        value = first_integral(fam, default_samples(fam, 65))
+        c = value.c
+        if value.spread > 1e-8:
+            failures.append(f"{kind.value} p={p} m={m}: spread {value.spread:.2e}")
         cn_like = kind in (SolutionKind.CN_ODD, SolutionKind.CN_EVEN_ALT)
         in_range = (c >= 2.0 - 1e-9) if cn_like else (-2.0 - 1e-9 <= c <= 2.0 + 1e-9)
         if not in_range:
@@ -262,12 +271,10 @@ def test_criterion_6_first_integral_route(capsys):
     assert not failures
 
 
-def test_sg_check_and_verify_read_the_same_route(tmp_path, capsys):
+def test_sg_check_and_verify_read_the_same_route(capsys, verify_run):
     # on every SG_CELLS cell, sg-check reports the very C, closed-form C and
     # implied/general m~ from which verify's records are computed
-    target = tmp_path / "verify.json"
-    assert main(["verify", "--scope", "sine-gordon", "--out", str(target)]) == 0
-    records = json.loads(target.read_text())["results"]
+    records = [r for r in verify_run[0] if "p" in r]
     for kind, p, m in SG_CELLS:
         family = SolutionFamily(kind, p, m).family.value
         assert main(["sg-check", "--family", family, "--p", str(p), "--m", repr(m)]) == 0

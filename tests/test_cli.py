@@ -8,13 +8,19 @@ import warnings
 import pytest
 from numpy.testing import assert_allclose
 
-from landen.cli import C_NOT_MEASURABLE, M_GRID, format_sig4, main
+from landen import sine_gordon
+from landen.cli import M_GRID, format_sig4, main
 from landen.elliptic import complete_elliptic_k
+from landen.sine_gordon import C_NOT_MEASURABLE, SolutionKind
 
 # the dn cells of p 2..7 x M_GRID whose samples all sit in the |psi| ~ 1
 # band; verify writes a c-route skip record for each
 UNMEASURABLE_DN_CELLS = [(4, 0.1), (4, 0.25), (5, 0.1), (5, 0.25), (6, 0.1), (6, 0.25),
                          (6, 0.5), (7, 0.1), (7, 0.25), (7, 0.5), (7, 0.75)]
+
+# --tol values both verify and sg-check refuse with exit 2: a gate must be a
+# positive finite number (nan fails every record, inf passes every one)
+BAD_TOLS = ("-1", "0", "nan", "inf")
 
 
 def run_cli(capsys, *argv):
@@ -223,8 +229,9 @@ class TestVerify:
         assert first == second
 
     def test_bad_tol(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--tol", "-1")
-        assert code == 2 and err
+        for tol in BAD_TOLS:
+            code, out, err = run_cli(capsys, "verify", "--scope", "classic", "--tol", tol)
+            assert code == 2 and out == "" and "--tol must be positive and finite" in err
 
 
 class TestSgCheck:
@@ -246,6 +253,12 @@ class TestSgCheck:
         record = json.loads(out)["results"][0]
         assert record["closed_form_c"] is None
         assert record["branch"] == "cn-branch"
+
+    def test_bad_tol(self, capsys):
+        for tol in BAD_TOLS:
+            code, out, err = run_cli(capsys, "sg-check", "--family", "dn", "--p", "3",
+                                     "--m", "0.5", "--tol", tol)
+            assert code == 2 and out == "" and "--tol must be positive and finite" in err
 
     def test_degenerate(self, capsys):
         code, out, _ = run_cli(capsys, "sg-check", "--family", "cn", "--p", "4",
@@ -306,6 +319,31 @@ def test_sine_gordon_record_layout(tmp_path):
     skips = [r for r in records if "skipped" in r]
     assert len(skips) == len(UNMEASURABLE_DN_CELLS)
     assert all(r["skipped"] == C_NOT_MEASURABLE and "pass" not in r for r in skips)
+
+
+def test_wrong_superposition_fails_the_constancy_gate(tmp_path, monkeypatch):
+    # cn-even-alt with the plain-sum inner scale arg_scale instead of alpha,
+    # the case _pieces' comment names: C is no longer constant along x, and
+    # verify's c-constancy record, the one constancy gate, catches it
+    pieces = sine_gordon._pieces
+
+    def plain_sum_inner(fam):
+        prefactor, inner = pieces(fam)
+        if fam.kind is SolutionKind.CN_EVEN_ALT:
+            inner = fam._raw.arg_scale
+        return prefactor, inner
+
+    monkeypatch.setattr(sine_gordon, "_pieces", plain_sum_inner)
+    target = tmp_path / "verify.json"
+    assert main(["verify", "--scope", "sine-gordon", "--out", str(target)]) == 1
+    doc = json.loads(target.read_text())
+    assert doc["status"] == "Fail"
+    constancy = {(r["p"], r["m"]): r for r in doc["results"]
+                 if r["check"] == "c-constancy-cn-even-alt"}
+    assert constancy[2, 0.5]["max_abs"] > 0.9 and not constancy[2, 0.5]["pass"]
+    assert constancy[4, 0.9]["max_abs"] > 0.3 and not constancy[4, 0.9]["pass"]
+    failed = {r["check"] for r in doc["results"] if r.get("pass") is False}
+    assert failed == {"c-constancy-cn-even-alt", "implied-m-tilde-cn-even-alt"}
 
 
 # (p, m) of the dn cells whose shifted sums miss the nome route by more than

@@ -1,5 +1,7 @@
 """Tests for the superposed solutions and the first-integral route."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,7 +10,7 @@ from landen.elliptic import jacobi_eval
 from landen.general import (AlternatingSumDegenerateError, Family, LandenSpec, _csum,
                             coefficients)
 from landen.sine_gordon import (Branch, FirstIntegralValue, NoClosedFormError,
-                                SignConvention, SolutionFamily, SolutionKind,
+                                NotMeasurableError, SignConvention, SolutionFamily, SolutionKind,
                                 _pieces, _psi_and_derivative, classify, closed_form_c, default_samples,
                                 first_integral, first_integral_samples,
                                 ode_residual, psi_derivative, psi_value,
@@ -169,9 +171,12 @@ class TestFirstIntegral:
     @pytest.mark.parametrize("kind", list(CELLS))
     def test_constancy(self, kind):
         fam = fam_for(kind)
-        values = first_integral_samples(fam, default_samples(fam, 65))
+        xs = default_samples(fam, 65)
+        values = first_integral_samples(fam, xs)
         assert values.size > 30
-        assert values.max() - values.min() <= 1e-8
+        value = first_integral(fam, xs)
+        assert value.c == float(values.mean())
+        assert value.spread == float(values.max() - values.min()) <= 1e-8
 
     @pytest.mark.parametrize("kind", [SolutionKind.DN_ODD, SolutionKind.CN_ODD,
                                       SolutionKind.SN_ODD, SolutionKind.SN_EVEN_PROD])
@@ -239,11 +244,54 @@ class TestFirstIntegral:
                 else:
                     assert -2.0 <= c <= 2.0
 
+    @pytest.mark.parametrize("kind,p", [(SolutionKind.CN_EVEN_ALT, 6),
+                                        (SolutionKind.CN_ODD, 7)])
+    def test_spread_is_reported_not_judged(self, kind, p):
+        # rounding noise at tiny m~ puts these spreads past max(1e-8, 1e-11 |C|),
+        # the rule first_integral once raised on, but inside verify's relative
+        # gate at its default --tol 1e-9
+        fam = SolutionFamily(kind, p, 0.1)
+        value = first_integral(fam, default_samples(fam))
+        assert value.spread > max(1e-8, 1e-11 * abs(value.c))
+        assert value.spread / max(1.0, abs(value.c)) <= 1e-9
+
     def test_needs_admissible_samples(self):
         # tiny transformed parameter: psi stays inside the singular band
         fam = SolutionFamily(SolutionKind.DN_ODD, 3, 1e-6)
-        with pytest.raises(ValueError):
+        with pytest.raises(NotMeasurableError):
             first_integral(fam, default_samples(fam))
+
+
+def paper_c(fam):
+    """C as the paper prints it for the four kinds it gives a formula for,
+    from the coefficients in working precision."""
+    raw, md = fam._raw, LD(fam.m)
+    if fam.kind is SolutionKind.DN_ODD:
+        c = -2 + 4 * (md - 2) * raw.alpha ** 2 + 8 * raw.alpha ** 3 * raw.a_sum
+    elif fam.kind is SolutionKind.CN_ODD:
+        c = -2 + 4 * (1 - 2 * md) * raw.alpha ** 2 / md + 8 * raw.alpha ** 3 * raw.a_sum
+    elif fam.kind is SolutionKind.SN_ODD:
+        c = -2 + 4 * md * raw.arg_scale ** 2 / raw.alpha ** 2
+    else:
+        c = -2 + 4 * md ** fam.p * raw.alpha ** 4 * raw.a_sum ** 4
+    return float(c)
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("p", range(2, 13))
+def test_closed_form_c_equals_the_printed_formulas(family, p):
+    # closed_form_c reads C from m~ alone; with the sum constants solved from
+    # each family's m~ formula the printed combinations give the same float
+    for m in (0.0, 1e-12, 1e-6, 1e-3, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999999, 1.0):
+        fam = SolutionFamily(solution_kind(family, p), p, m)
+        if fam.kind in (SolutionKind.DN_EVEN, SolutionKind.CN_EVEN_ALT):
+            with pytest.raises(NoClosedFormError):
+                closed_form_c(fam)
+        elif m == 0.0 and fam.kind in (SolutionKind.CN_ODD, SolutionKind.SN_ODD):
+            with pytest.raises(ValueError, match="closed-form C"):
+                closed_form_c(fam)
+        else:
+            assert closed_form_c(fam) == paper_c(fam)
 
 
 class TestClassify:
@@ -264,6 +312,12 @@ class TestClassify:
         assert classify(2.0 + 5e-10).m_tilde == 1.0
         low = classify(-2.0 - 5e-10)
         assert low.branch is Branch.DN_BRANCH and low.m_tilde == 0.0
+
+    def test_nan_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            classify(math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            classify(FirstIntegralValue(math.nan, SignConvention.STATIC))
 
     @pytest.mark.parametrize("kind", list(CELLS))
     def test_route_recovers_transformed_parameter(self, kind):
