@@ -24,9 +24,9 @@ from .classic import (classic_cn, classic_dn, classic_dn_two_term, classic_m_til
                       classic_sn)
 from .elliptic import complete_elliptic_k, jacobi_eval
 from .general import (AlternatingSumDegenerateError, Family, LandenSpec,
-                      coefficients, sum_route_m_tilde, verify_identity)
+                      _identity_residuals, _sum_routes, coefficients)
 from .sine_gordon import (NoClosedFormError, NotMeasurableError, SolutionFamily,
-                          classify, closed_form_c, default_samples, first_integral,
+                          classify, closed_form_c, default_samples, first_integrals,
                           ode_residual, solution_kind)
 
 M_GRID = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
@@ -147,23 +147,29 @@ def _classic_records(grid: int, tol: float):
 
 
 def _family_records(grid: int, tol: float):
+    """Identity, m~-agreement and sum-route records of every (p, m) cell.
+
+    Each p is one batch over all of M_GRID and the three families: three
+    jacobi_eval calls (right-hand sides, left-hand sides, shift points).
+    """
     records = []
+    families = tuple(Family)
     for p in range(2, 8):
-        for m in M_GRID:
-            sums = {}
-            for family in (Family.DN, Family.CN, Family.SN):
-                spec = LandenSpec(family, p)
-                res = verify_identity(spec, m, grid)
+        residuals, nome_m_tildes = _identity_residuals(p, M_GRID, grid, families)
+        sum_routes = _sum_routes(p, M_GRID, families)
+        for j, m in enumerate(M_GRID):
+            for family in families:
+                res = residuals[family][j]
                 records.append({"check": f"identity-{family.value}", "p": p, "m": m,
                                 "max_abs": res.max_abs, "tol": tol,
                                 "pass": res.max_abs <= tol})
-                sums[family] = sum_route_m_tilde(spec, m)
+            sums = {family: sum_routes[family][j] for family in families}
             vals = list(sums.values())
             worst = max(abs(a - b) for a in vals for b in vals)
             records.append({"check": "m-tilde-agreement", "p": p, "m": m,
                             "max_abs": worst, "tol": tol, "pass": worst <= tol})
+            nome = nome_m_tildes[j]
             for family, value in sums.items():
-                nome = coefficients(LandenSpec(family, p), m).m_tilde
                 rel = abs(value - nome) / nome
                 record = {"check": f"sum-route-{family.value}", "p": p, "m": m}
                 if rel <= SUM_ROUTE_RTOL:
@@ -179,27 +185,43 @@ def _first_integral_route(fam):
     closed-form C or None, classify(C), general m~).  NotMeasurableError
     passes through.
     """
-    value = first_integral(fam, default_samples(fam))
-    try:
-        closed = closed_form_c(fam)
-    except NoClosedFormError:
-        closed = None
-    return value, closed, classify(value), fam.m_tilde
+    route = _first_integral_routes([fam])[0]
+    if isinstance(route, NotMeasurableError):
+        raise route
+    return route
+
+
+def _first_integral_routes(fams):
+    """_first_integral_route of solutions of one kind and p, from one
+    evaluation; an entry is the NotMeasurableError where that raises."""
+    routes = []
+    for fam, value in zip(fams, first_integrals(fams, [default_samples(fam) for fam in fams])):
+        if isinstance(value, NotMeasurableError):
+            routes.append(value)
+            continue
+        try:
+            closed = closed_form_c(fam)
+        except NoClosedFormError:
+            closed = None
+        routes.append((value, closed, classify(value), fam.m_tilde))
+    return routes
 
 
 def _sine_gordon_records(tol: float):
     records = []
     for p in range(2, 8):
-        for m in M_GRID:
+        fams = {family: [SolutionFamily(solution_kind(family, p), p, m) for m in M_GRID]
+                for family in Family}
+        routes = {family: _first_integral_routes(fams[family]) for family in Family}
+        for j, m in enumerate(M_GRID):
             for family in Family:
-                fam = SolutionFamily(solution_kind(family, p), p, m)
+                fam, route = fams[family][j], routes[family][j]
                 kind = fam.kind.value
-                try:
-                    value, closed, verdict, target = _first_integral_route(fam)
-                except NotMeasurableError as exc:
+                if isinstance(route, NotMeasurableError):
                     records.append({"check": f"c-route-{kind}", "p": p, "m": m,
-                                    "skipped": str(exc)})
+                                    "skipped": str(route)})
                     continue
+                value, closed, verdict, target = route
                 c = value.c
                 scale = max(1.0, abs(c))
                 if fam.family is Family.CN:
@@ -254,7 +276,9 @@ def cmd_sg_check(args) -> int:
         return 2
     implied = verdict.m_tilde
     diff = abs(implied - target) if implied is not None else math.inf
-    ok = ode.max_abs <= args.tol and diff <= 1e-8
+    # the spread gate is verify's c-constancy rule
+    constant = value.spread / max(1.0, abs(value.c)) <= args.tol
+    ok = ode.max_abs <= args.tol and diff <= 1e-8 and constant
     doc = {"tool_version": __version__, "command": "sg-check",
            "parameters": {"family": args.family, "p": args.p, "m": args.m,
                           "grid": args.grid, "tol": args.tol},

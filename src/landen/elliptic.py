@@ -81,11 +81,20 @@ class EllipticTriple(NamedTuple):
 
 
 def _validate_m(m, *, below_one=False, above_zero=False, what="parameter m"):
-    """m as a float, or ValueError unless it lies in [0, 1].
+    """m as a float (an array m as a float64 array), or ValueError unless
+    every value lies in [0, 1].
 
     below_one and above_zero open the interval at that end; `what` names
-    the quantity in the message.  NaN and +-inf fail every interval.
+    the quantity in the message, which quotes the first value outside it.
+    NaN and +-inf fail every interval.
     """
+    if np.ndim(m):
+        values = np.asarray(m, dtype=np.float64)
+        ok = ((values > 0.0 if above_zero else values >= 0.0)
+              & (values < 1.0 if below_one else values <= 1.0))
+        if ok.all():
+            return values
+        m = values[~ok][0]
     m = float(m)
     low_ok = m > 0.0 if above_zero else m >= 0.0
     high_ok = m < 1.0 if below_one else m <= 1.0
@@ -99,7 +108,8 @@ def _agm_chain(m, dtype):
     """AGM scale factors a_n and half-differences c_n for parameter m.
 
     Returns (a, c, n) where a[n] is the converged mean of AGM(1, sqrt(1 - m))
-    and c[0] = sqrt(m).
+    and c[0] = sqrt(m).  For an array m the levels are arrays of m's shape,
+    padded as _agm_levels describes.
     """
     md = dtype.type(m)
     a, c = _agm_levels(np.sqrt(dtype.type(1) - md), dtype)
@@ -113,16 +123,28 @@ def _agm_levels(b, dtype):
     Iteration stops when |a - b| drops below the dtype's resolution
     relative to a, with a hard cap of 32 levels (quadratic convergence
     reaches it in <= 10 for any parameter representable away from 1).
+
+    An array b runs every chain to the depth of the longest one.  A chain
+    that has converged is padded at its deep end: its mean repeats and its
+    c is 0, so a padded Landen level (k1 = 0) leaves sn and cn unchanged
+    and dn at 1, and each element comes out bit-identical to its own
+    scalar chain (DLMF 22.20).
     """
     rtol = _AGM_RTOL[dtype]
     two = dtype.type(2)
     a = [dtype.type(1)]
     c = []
-    while len(c) < _AGM_MAX_ITER and abs(a[-1] - b) > rtol * a[-1]:
+    padded = np.ndim(b) > 0
+    live = abs(a[-1] - b) > rtol * a[-1]
+    while len(c) < _AGM_MAX_ITER and (live.any() if padded else live):
         a_prev = a[-1]
         a.append((a_prev + b) / two)
         c.append((a_prev - b) / two)
+        if padded:
+            a[-1] = np.where(live, a[-1], a_prev)
+            c[-1] = np.where(live, c[-1], 0)
         b = np.sqrt(a_prev * b)
+        live = live & (abs(a[-1] - b) > rtol * a[-1])
     return a, c
 
 
@@ -160,8 +182,8 @@ def complete_elliptic_k(m, *, dtype=np.float64):
 
     Parameters
     ----------
-    m : float
-        Parameter, 0 <= m < 1.  K diverges at m = 1 and that input is
+    m : float or array_like
+        Parameter(s), 0 <= m < 1.  K diverges at m = 1 and that input is
         rejected rather than returned as inf.
     dtype : numpy dtype, optional
         Working precision; float64 by default, np.longdouble for callers
@@ -169,18 +191,20 @@ def complete_elliptic_k(m, *, dtype=np.float64):
 
     Returns
     -------
-    scalar of `dtype`, accurate to a few ulp.
+    scalar of `dtype` (a float for float64) for scalar m, an array of m's
+    shape for array m, accurate to a few ulp.  Each element equals the
+    scalar call at that m.
     """
     m = _validate_m(m, below_one=True,
                     what="the parameter m of K(m) (divergent at m = 1)")
     dtype = np.dtype(dtype)
     a, _, n = _agm_chain(m, dtype)
     value = _PI[dtype] / (dtype.type(2) * a[n])
-    return float(value) if dtype == np.float64 else value
+    return float(value) if dtype == np.float64 and np.ndim(m) == 0 else value
 
 
 def jacobi_eval(x, m, *, dtype=np.float64):
-    """Evaluate (sn, cn, dn) at real argument(s) x and parameter m.
+    """Evaluate (sn, cn, dn) at real argument(s) x and parameter(s) m.
 
     The argument is folded into [0, K] with the exact quarter- and
     half-period symmetries, then the triple is built by running the AGM
@@ -200,6 +224,12 @@ def jacobi_eval(x, m, *, dtype=np.float64):
     parameters within 1e-12 of 1 are clamped to the m = 1 branch and a
     ModulusClampWarning records the clamp.
 
+    An array m broadcasts against x, so one call evaluates many parameters.
+    The AGM chains of all its values are padded to the longest depth (see
+    _agm_levels) and m = 0, m = 1 and the clamp band take their branches
+    elementwise: every element is bit-identical to the call at its own
+    scalar m.
+
     Arrays of 16384 points or more (with 0 < m < 1) are split into chunks
     of 8192 points that the calling thread and one extra thread per further
     CPU the process may use evaluate side by side; the threads are joined
@@ -212,33 +242,31 @@ def jacobi_eval(x, m, *, dtype=np.float64):
         Finite real argument(s).  For 0 < m < 1 in the extended dtype they
         must also lie within the float64 range, where the quadrant quotient
         is taken.
-    m : float
-        Parameter in [0, 1].
+    m : float or array_like
+        Parameter(s) in [0, 1], broadcast against x.
     dtype : numpy dtype, optional
         Working precision (float64 or np.longdouble).
 
     Returns
     -------
     EllipticTriple
-        Scalars for scalar x, arrays for array x.
+        Scalars for scalar x and m, arrays of the broadcast shape otherwise.
     """
     m = _validate_m(m)
     dtype = np.dtype(dtype)
-    scalar = np.ndim(x) == 0
+    scalar = np.ndim(x) == 0 and np.ndim(m) == 0
     x = np.asarray(x, dtype=dtype)
     if not np.all(np.isfinite(x)):
         raise ValueError("argument x must be finite")
 
-    one = dtype.type(1)
-    if m == 0.0:
+    if np.ndim(m):
+        sn, cn, dn = _eval_array_m(x, m, dtype)
+    elif m == 0.0:
         sn, cn, dn = np.sin(x), np.cos(x), np.ones_like(x)
     elif m > 1.0 - _CLAMP_BAND:
         if m != 1.0:
-            warnings.warn(
-                f"parameter m = {m!r} lies within {_CLAMP_BAND} of 1; "
-                "evaluating at the m = 1 limit",
-                ModulusClampWarning, stacklevel=2)
-        sech = one / np.cosh(x)
+            _warn_clamp(m, stacklevel=3)
+        sech = dtype.type(1) / np.cosh(x)
         sn, cn, dn = np.tanh(x), sech, sech.copy()
     else:
         chain = _agm_chain(m, dtype)
@@ -252,6 +280,45 @@ def jacobi_eval(x, m, *, dtype=np.float64):
             return EllipticTriple(float(sn[()]), float(cn[()]), float(dn[()]))
         return EllipticTriple(sn[()], cn[()], dn[()])
     return EllipticTriple(sn, cn, dn)
+
+
+def _warn_clamp(m, stacklevel):
+    """ModulusClampWarning for a parameter m evaluated at the m = 1 limit."""
+    warnings.warn(f"parameter m = {m!r} lies within {_CLAMP_BAND} of 1; "
+                  "evaluating at the m = 1 limit", ModulusClampWarning,
+                  stacklevel=stacklevel)
+
+
+def _eval_array_m(x, m, dtype):
+    """(sn, cn, dn) at x against the validated float64 array m.
+
+    The kernel runs on every element with one padded chain; the elements
+    at m = 0 and in the m = 1 band stand in for m = 1/2 there and are then
+    overwritten by their exact branches.
+    """
+    shape = np.broadcast_shapes(x.shape, m.shape)
+    circular = m == 0.0
+    hyperbolic = m > 1.0 - _CLAMP_BAND
+    clamped = hyperbolic & (m != 1.0)
+    if clamped.any():
+        _warn_clamp(float(m[clamped][0]), stacklevel=4)
+    chain = _agm_chain(np.where(circular | hyperbolic, 0.5, m), dtype)
+    full = np.broadcast_to(x, shape)
+    if full.size < _SPLIT_MIN:
+        sn, cn, dn = _landen_kernel(full, *chain)
+    else:
+        sn, cn, dn = _split_eval(full, chain)
+    one = dtype.type(1)
+    if circular.any():
+        sn = np.where(circular, np.sin(x), sn)
+        cn = np.where(circular, np.cos(x), cn)
+        dn = np.where(circular, one, dn)
+    if hyperbolic.any():
+        sech = one / np.cosh(x)
+        sn = np.where(hyperbolic, np.tanh(x), sn)
+        cn = np.where(hyperbolic, sech, cn)
+        dn = np.where(hyperbolic, sech, dn)
+    return sn, cn, dn
 
 
 def _landen_kernel(x, a, c, n):
@@ -309,7 +376,9 @@ def _split_eval(x, chain):
     np.errstate applies to it).  numpy releases the GIL inside its loops,
     so the helpers compute in parallel.  The first exception raised in any
     chunk stops the hand-out and is re-raised here once every helper has
-    been joined, so partly written output is never returned.
+    been joined, so partly written output is never returned.  The levels
+    of an array-m chain (which broadcast against x) are cut to each chunk
+    as well.
     """
     flat = x.reshape(-1)
     sn, cn, dn = (np.empty_like(flat) for _ in range(3))
@@ -317,6 +386,14 @@ def _split_eval(x, chain):
     lock = threading.Lock()
     issued = [0]
     errors = []
+    a, c, n = chain
+
+    def piece_chain(piece):
+        if not np.ndim(a[n]):
+            return chain
+        def cut(level):
+            return np.broadcast_to(level, x.shape).flat[piece]
+        return [cut(level) for level in a], [cut(level) for level in c], n
 
     def work():
         try:
@@ -327,7 +404,8 @@ def _split_eval(x, chain):
                         return
                     issued[0] = i + 1
                 piece = slice(i * _CHUNK, (i + 1) * _CHUNK)
-                sn[piece], cn[piece], dn[piece] = _landen_kernel(flat[piece], *chain)
+                sn[piece], cn[piece], dn[piece] = _landen_kernel(flat[piece],
+                                                                 *piece_chain(piece))
         except BaseException as exc:  # handed to the caller below
             with lock:
                 errors.append(exc)

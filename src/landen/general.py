@@ -27,6 +27,13 @@ built in one place, used both for the right-hand sides here and for the
 superposed solutions psi of :mod:`landen.sine_gordon`, which are the same
 combinations with other scale factors.
 
+Batches: the argument scale, the shift step and m~ depend on (p, m) alone,
+and jacobi_eval takes an array m.  So verify's family scope checks each p
+for many m and all three families in three jacobi_eval calls
+(_identity_residuals, _sum_routes); :func:`verify_identity` and
+:func:`sum_route_m_tilde` are the one-cell case of the same code, and
+every batched value is bit-identical to it.
+
 Numerics: the p-term side cancels for large p and small m (the
 normalizations grow like 1e5 and beyond), which in pure binary64 leaves
 identity residuals near 1e-9.  Coefficients and sums therefore run in
@@ -154,10 +161,23 @@ def _shift_step(big_k, p, odd, dtype):
     return width * big_k / dtype.type(p)
 
 
-def _raw_coefficients(spec, m, dtype=_LD):
+def _nome_part(p, m, dtype=_LD):
+    """(m~, K(m~), K(m)) for 0 < m < 1: the part of the coefficients that
+    every family at term count p shares.
+
+    q~ = q(m)^p gives m~ and K(m~) (elliptic._from_nome); K(m) comes from
+    the AGM chain of m that gives q.
+    """
+    log_q, big_k = _nome(m, dtype)
+    m_tilde, big_k_tilde = _from_nome(p * log_q, dtype)
+    return m_tilde, big_k_tilde, big_k
+
+
+def _raw_coefficients(spec, m, dtype=_LD, nome=None):
     """Coefficients of one family at m from the nome, in working precision.
 
-    For 0 < m < 1: q~ = q(m)^p gives m~ and K(m~) (elliptic._from_nome),
+    For 0 < m < 1: m~, K(m~) and K(m) come from _nome_part (or from
+    `nome`, its value computed once for all families at this p and m),
     s = K(m) / (p K(m~)) is the argument scale of every family, alpha is s,
     s sqrt(m/m~) (odd cn and sn) or s / sqrt(m~) (even cn), and a_sum
     solves that family's m~ formula.  m~ below float64's smallest normal
@@ -199,8 +219,7 @@ def _raw_coefficients(spec, m, dtype=_LD):
         a3_cubes = _csum(list(jacobi_eval(shifts, m, dtype=dtype).cn ** 3))
         return _Raw(math.inf, a3_cubes, dtype.type(0), math.nan, step, big_k)
 
-    log_q, big_k = _nome(m, dtype)
-    m_tilde, big_k_tilde = _from_nome(p * log_q, dtype)
+    m_tilde, big_k_tilde, big_k = nome if nome is not None else _nome_part(p, m, dtype)
     if not m_tilde >= _TINY:
         raise ArithmeticError(
             f"{family.value} p = {p} is beyond the nome route at m = {m!r}: "
@@ -236,32 +255,47 @@ def sum_route_m_tilde(spec: LandenSpec, m) -> float:
     (A1..A4) or, for even sn, the shift product A5, and m~ follows from
     the printed formulas.  These cancel at small m and large p (dn at
     p = 7, m = 0.1 is 6.5e-7 relative off), so verify compares them with
-    the nome route instead of using them.  Needs 0 < m < 1.
+    the nome route instead of using them.  Needs 0 < m < 1.  This is the
+    one-cell case of _sum_routes.
     """
     m = _validate_m(m, below_one=True, above_zero=True, what="sum-route parameter m")
-    family, p, odd = spec.family, spec.p, spec.odd
-    one, two, md = _LD.type(1), _LD.type(2), _LD.type(m)
-    step = _shift_step(complete_elliptic_k(m, dtype=_LD), p, odd, _LD)
-    sn, cn, dn = jacobi_eval(step * np.arange(p, dtype=_LD), m, dtype=_LD)
+    return _sum_routes(spec.p, [m], (spec.family,))[spec.family][0]
 
-    if family is Family.DN:
-        alpha = one / _csum(list(dn))
-        m_tilde = (md - two) * alpha ** 2 + two * alpha ** 3 * _csum(list(dn ** 3))
-    elif family is Family.CN and odd:
-        alpha = one / _csum(list(cn))
-        a_sum = _csum(list(cn ** 3))
-        m_tilde = md / ((one - two * md) * alpha ** 2 + two * md * alpha ** 3 * a_sum)
-    elif family is Family.CN:
-        alpha = one / _csum(_alternate(dn))
-        a_sum = _csum(_alternate(dn ** 3))
-        m_tilde = one / ((md - two) * alpha ** 2 + two * alpha ** 3 * a_sum)
-    elif odd:
-        a1, a3 = one / _csum(list(dn)), one / _csum(list(cn))
-        m_tilde = md * a1 ** 2 / a3 ** 2
-    else:
-        a2 = one / _csum(list(dn))
-        m_tilde = md ** p * a2 ** 4 * np.prod(sn[1:]) ** 4
-    return float(m_tilde)
+
+def _sum_routes(p, ms, families):
+    """{family: [m~ by the paper's sums at each m of ms]} at term count p.
+
+    The p shift points of every m (0 < m < 1, validated) are evaluated in
+    one jacobi_eval call with an array m; the sums run along the term axis,
+    so each value is bit-identical to a scalar-m evaluation at that m.
+    """
+    odd = p % 2 == 1
+    ms = np.asarray(ms, dtype=np.float64)
+    one, two, md = _LD.type(1), _LD.type(2), _LD.type(ms)
+    step = _shift_step(complete_elliptic_k(ms, dtype=_LD), p, odd, _LD)
+    sn, cn, dn = jacobi_eval(np.arange(p, dtype=_LD)[:, None] * step, ms, dtype=_LD)
+
+    routes = {}
+    for family in families:
+        if family is Family.DN:
+            alpha = one / _csum(dn)
+            m_tilde = (md - two) * alpha ** 2 + two * alpha ** 3 * _csum(dn ** 3)
+        elif family is Family.CN and odd:
+            alpha = one / _csum(cn)
+            a_sum = _csum(cn ** 3)
+            m_tilde = md / ((one - two * md) * alpha ** 2 + two * md * alpha ** 3 * a_sum)
+        elif family is Family.CN:
+            alpha = one / _csum(_alternate(dn))
+            a_sum = _csum(_alternate(dn ** 3))
+            m_tilde = one / ((md - two) * alpha ** 2 + two * alpha ** 3 * a_sum)
+        elif odd:
+            a1, a3 = one / _csum(dn), one / _csum(cn)
+            m_tilde = md * a1 ** 2 / a3 ** 2
+        else:
+            a2 = one / _csum(dn)
+            m_tilde = md ** p * a2 ** 4 * np.prod(sn[1:], axis=0) ** 4
+        routes[family] = [float(value) for value in m_tilde]
+    return routes
 
 
 def coefficients(spec: LandenSpec, m) -> LandenCoefficients:
@@ -289,14 +323,16 @@ def coefficients(spec: LandenSpec, m) -> LandenCoefficients:
                               arg_scale=float(raw.arg_scale))
 
 
-def _shifted_eval(args, shifts, m):
-    """(sn, cn, dn) at args + shifts[i] for every shift, in one call.
+def _shifted_eval(args, step, p, m):
+    """(sn, cn, dn) at args + i step for i = 0..p-1, in one jacobi_eval call.
 
     Row i of each returned array (shape ``(p,) + args.shape``) is the i-th
     shifted term, so row-ordered sums and products keep the term order.
+    step and m are scalars or arrays that broadcast against args, one value
+    per parameter of a batch.
     """
-    grid = args + shifts.reshape((-1,) + (1,) * np.ndim(args))
-    return jacobi_eval(grid, m, dtype=_LD)
+    shifts = np.arange(p, dtype=_LD).reshape((-1,) + (1,) * np.ndim(args)) * step
+    return jacobi_eval(args + shifts, m, dtype=_LD)
 
 
 def _alternate(rows):
@@ -304,20 +340,21 @@ def _alternate(rows):
     return [-row if i % 2 else row for i, row in enumerate(rows)]
 
 
-def _superpose(spec, raw, m, args, derivative=False):
-    """The p shifted terms f(args + i step), i = 0..p-1, combined.
+def _combine(spec, terms, m, derivative=False):
+    """The family's combination of the shifted terms (sn, cn, dn) from
+    _shifted_eval, along the term axis.
 
     Even sn multiplies its sn terms; every other family takes their
     compensated sum, of dn (dn, and even cn with alternating signs), cn
-    (odd cn) or sn (odd sn).  With derivative=True the derivative in args
-    comes back too; the product's derivative costs O(p^2), so it is left
-    out unless asked for.
+    (odd cn) or sn (odd sn).  With derivative=True the derivative in the
+    argument comes back too; the product's derivative costs O(p^2), so it
+    is left out unless asked for.  m broadcasts against one term.
     """
     family, p, odd = spec.family, spec.p, spec.odd
-    sn, cn, dn = _shifted_eval(args, raw.step * np.arange(p, dtype=_LD), m)
+    sn, cn, dn = terms
 
     if family is Family.SN and not odd:
-        prod = np.ones_like(args)
+        prod = np.ones_like(sn[0])
         for row in sn:
             prod = prod * row
         if not derivative:
@@ -332,27 +369,43 @@ def _superpose(spec, raw, m, args, derivative=False):
         return prod, _csum(dterms)
 
     if family is Family.SN:
-        terms, slope = sn, lambda: cn * dn
+        rows, slope = sn, lambda: cn * dn
     elif family is Family.CN and odd:
-        terms, slope = cn, lambda: (-sn) * dn
+        rows, slope = cn, lambda: (-sn) * dn
     else:
-        terms, slope = dn, lambda: (-_LD.type(m)) * sn * cn
+        rows, slope = dn, lambda: (-_LD.type(m)) * sn * cn
     signed = _alternate if family is Family.CN and not odd else list
     if not derivative:
-        return _csum(signed(terms))
-    return _csum(signed(terms)), _csum(signed(slope()))
+        return _csum(signed(rows))
+    return _csum(signed(rows)), _csum(signed(slope()))
 
 
-def _rhs_from_raw(raw, spec, m, x):
+def _superpose(spec, step, m, args, derivative=False):
+    """The p shifted terms f(args + i step), i = 0..p-1, combined by
+    _combine.  step and m may be arrays of a batch of parameters, one per
+    leading index of args."""
+    return _combine(spec, _shifted_eval(args, step, spec.p, m), m, derivative)
+
+
+def _check_evaluable(raw, spec, m):
     if not (np.isfinite(float(raw.alpha)) and np.isfinite(float(raw.arg_scale))
             and np.isfinite(float(raw.step))):
         raise ValueError(
             f"right-hand side is not evaluable at m = {m!r} for {spec.family.value} "
             f"p = {spec.p}: coefficients degenerate at this boundary")
-    combo = _superpose(spec, raw, m, raw.arg_scale * np.asarray(x, dtype=_LD))
+
+
+def _normalised(raw, spec, combo):
+    """The combination scaled to compare with the single function at m~."""
     if spec.family is Family.SN and not spec.odd:
         return combo / (raw.a_sum * raw.alpha)
     return raw.alpha * combo
+
+
+def _rhs_from_raw(raw, spec, m, x):
+    _check_evaluable(raw, spec, m)
+    combo = _superpose(spec, raw.step, m, raw.arg_scale * np.asarray(x, dtype=_LD))
+    return _normalised(raw, spec, combo)
 
 
 def transform_rhs(spec: LandenSpec, m, x):
@@ -376,24 +429,71 @@ def verify_identity(spec: LandenSpec, m, grid_points: int = 128) -> IdentityResi
     The grid spans one full period of the left-hand side: [0, 2 K(m~)] for
     the dn family, [0, 4 K(m~)] for cn and sn.  Since the coefficients come
     from the nome route, not from the shifted sums, the residual tests the
-    identity itself, at x = 0 too.
+    identity itself, at x = 0 too.  This is the one-cell case of
+    _identity_residuals.
     """
     if grid_points < 16:
         raise ValueError(f"grid_points must be at least 16, got {grid_points}")
     m = _validate_m(m, below_one=True,
                     what="parameter m of an identity (its period diverges at m = 1)")
-    raw = _raw_coefficients(spec, m)
-    m_tilde = float(raw.m_tilde)
-    width = 2.0 if spec.family is Family.DN else 4.0
-    span = width * float(raw.big_k_tilde)
-    xs = np.linspace(0.0, span, grid_points)
+    residuals, _ = _identity_residuals(spec.p, [m], grid_points, (spec.family,))
+    return residuals[spec.family][0]
 
-    rhs = _rhs_from_raw(raw, spec, m, xs)
-    triple = jacobi_eval(np.asarray(xs, dtype=_LD), m_tilde, dtype=_LD)
-    lhs = {Family.DN: triple.dn, Family.CN: triple.cn, Family.SN: triple.sn}[spec.family]
+
+def _period_width(family):
+    return 2.0 if family is Family.DN else 4.0
+
+
+def _identity_residuals(p, ms, grid_points, families):
+    """verify_identity for `families` at term count p and every m of ms
+    (0 <= m < 1, validated), with the nome m~ of each m.
+
+    Returns ({family: [IdentityResidual per m]}, [m~ per m]).  The nome
+    part is computed once per m.  The arg scale s, the shift step and m~
+    depend on (p, m) alone, so all families share one grid per period
+    width (dn's [0, 2 K~], and cn's and sn's [0, 4 K~]).  One jacobi_eval
+    over (p, m, grid, x) gives every right-hand side and one over (m,
+    grid, x) at the m~ values every left-hand side; each residual is
+    bit-identical to the cell's own scalar-m evaluation.
+    """
+    specs = [LandenSpec(family, p) for family in families]
+    nomes = [_nome_part(p, m) if 0.0 < m < 1.0 else None for m in ms]
+    raws = {spec: [_raw_coefficients(spec, m, nome=nome) for m, nome in zip(ms, nomes)]
+            for spec in specs}
+    for spec in specs:
+        for m, raw in zip(ms, raws[spec]):
+            _check_evaluable(raw, spec, m)
+
+    shared = raws[specs[0]]
+    m_tildes = [float(raw.m_tilde) for raw in shared]
+    widths = sorted({_period_width(family) for family in families})
+    spans = [[width * float(raw.big_k_tilde) for width in widths] for raw in shared]
+    xs = np.array([[np.linspace(0.0, span, grid_points) for span in row] for row in spans],
+                  dtype=_LD)
+
+    def per_m(values):
+        return np.array(values).reshape(-1, 1, 1)
+
+    scale = per_m([raw.arg_scale for raw in shared]).astype(_LD)
+    step = per_m([raw.step for raw in shared]).astype(_LD)
+    rhs_terms = _shifted_eval(scale * xs, step, p, per_m(ms))
+    lhs = jacobi_eval(xs, per_m(m_tildes), dtype=_LD)
+
+    residuals = {}
+    for spec in specs:
+        g = widths.index(_period_width(spec.family))
+        combo = _combine(spec, [t[:, :, g] for t in rhs_terms], m=None)
+        single = getattr(lhs, spec.family.value)[:, g]
+        residuals[spec.family] = [
+            _residual(_normalised(raw, spec, combo[j]), single[j], span[g])
+            for j, (raw, span) in enumerate(zip(raws[spec], spans))]
+    return residuals, m_tildes
+
+
+def _residual(rhs, lhs, span):
     diff = np.abs(np.asarray(lhs - rhs, dtype=np.float64))
     return IdentityResidual(max_abs=float(diff.max()), mean_abs=float(diff.mean()),
-                            grid_points=grid_points, x_span=span)
+                            grid_points=diff.size, x_span=span)
 
 
 def m_tilde_closed_p3(m):

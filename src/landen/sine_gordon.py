@@ -61,6 +61,7 @@ __all__ = [
     "default_samples",
     "first_integral_samples",
     "first_integral",
+    "first_integrals",
     "closed_form_c",
     "classify",
     "OdeResidual",
@@ -220,15 +221,40 @@ def _pieces(fam: SolutionFamily):
 
 def _psi_and_derivative(fam, x):
     """psi and its analytic x-derivative, in extended precision."""
-    x = np.asarray(x, dtype=_LD)
-    if fam.m == 1.0:
+    return _psi_rows([fam], [x])[0]
+
+
+def _psi_rows(fams, xs):
+    """[(psi, dpsi) of fams[j] at xs[j]] for solutions of one kind and p.
+
+    The xs share one shape.  Every solution with m < 1 is evaluated in one
+    _superpose call with an array m, each bit-identical to a call for that
+    solution alone; m = 1 takes the separatrix in closed form.
+    """
+    xs = [np.asarray(x, dtype=_LD) for x in xs]
+    rows = [None] * len(fams)
+    batch = []
+    for j, (fam, x) in enumerate(zip(fams, xs)):
+        if fam.m != 1.0:
+            batch.append(j)
+            continue
         sech = 1 / np.cosh(x)
-        if fam.family is Family.SN:
-            return np.tanh(x), sech * sech
-        return sech, -sech * np.tanh(x)
-    prefactor, inner = _pieces(fam)
-    combo, slope = _superpose(fam.spec, fam._raw, fam.m, inner * x, derivative=True)
-    return prefactor * combo, prefactor * inner * slope
+        rows[j] = ((np.tanh(x), sech * sech) if fam.family is Family.SN
+                   else (sech, -sech * np.tanh(x)))
+    if batch:
+        prefactors, inners = zip(*(_pieces(fams[j]) for j in batch))
+
+        def per_solution(values):
+            return np.array(values).reshape((-1,) + (1,) * xs[0].ndim)
+
+        args = per_solution(inners).astype(_LD) * np.stack([xs[j] for j in batch])
+        combo, slope = _superpose(fams[0].spec,
+                                  per_solution([fams[j]._raw.step for j in batch]),
+                                  per_solution([fams[j].m for j in batch]),
+                                  args, derivative=True)
+        for i, j in enumerate(batch):
+            rows[j] = prefactors[i] * combo[i], prefactors[i] * inners[i] * slope[i]
+    return rows
 
 
 def psi_value(fam: SolutionFamily, x):
@@ -275,8 +301,19 @@ def first_integral_samples(fam: SolutionFamily, x_samples):
     Samples with |psi| >= 1 - 1e-6 sit on the removable singularity of the
     C formula and are dropped.
     """
-    xs = np.atleast_1d(np.asarray(x_samples, dtype=float))
-    psi, dpsi = _psi_and_derivative(fam, xs.astype(_LD))
+    return _first_integral_sample_rows([fam], [x_samples])[0]
+
+
+def _first_integral_sample_rows(fams, x_rows):
+    """first_integral_samples(fams[j], x_rows[j]) for every j, from one
+    _psi_rows evaluation."""
+    xs = [np.atleast_1d(np.asarray(x, dtype=float)).astype(_LD) for x in x_rows]
+    return [_c_samples(fam, psi, dpsi)
+            for fam, (psi, dpsi) in zip(fams, _psi_rows(fams, xs))]
+
+
+def _c_samples(fam, psi, dpsi):
+    """Per-sample C from psi and dpsi, the |psi| ~ 1 samples dropped."""
     keep = np.abs(psi) < _LD.type(1.0 - PSI_SINGULAR_BAND)
     psi, dpsi = psi[keep], dpsi[keep]
     one = _LD.type(1)
@@ -296,12 +333,28 @@ def first_integral(fam: SolutionFamily, x_samples) -> FirstIntegralValue:
     spread / max(1, |C|) against --tol, is the one constancy gate.  Fewer
     than two admissible samples raise NotMeasurableError.
     """
-    values = first_integral_samples(fam, x_samples)
-    if values.size < 2:
-        raise NotMeasurableError(C_NOT_MEASURABLE)
-    return FirstIntegralValue(c=float(values.mean()),
-                              sign_convention=fam.sign_convention,
-                              spread=float(values.max() - values.min()))
+    value = first_integrals([fam], [x_samples])[0]
+    if isinstance(value, NotMeasurableError):
+        raise value
+    return value
+
+
+def first_integrals(fams, x_rows):
+    """first_integral(fams[j], x_rows[j]) for solutions of one kind and p,
+    from one evaluation of all their psi (the x_rows share one shape).
+
+    An entry is the NotMeasurableError, returned rather than raised, where
+    first_integral would raise it.
+    """
+    values = []
+    for fam, samples in zip(fams, _first_integral_sample_rows(fams, x_rows)):
+        if samples.size < 2:
+            values.append(NotMeasurableError(C_NOT_MEASURABLE))
+        else:
+            values.append(FirstIntegralValue(c=float(samples.mean()),
+                                             sign_convention=fam.sign_convention,
+                                             spread=float(samples.max() - samples.min())))
+    return values
 
 
 def closed_form_c(fam: SolutionFamily) -> float:

@@ -1,5 +1,6 @@
 """CLI behavior: output formats, exit codes, determinism, round-trips."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import warnings
 import pytest
 from numpy.testing import assert_allclose
 
-from landen import sine_gordon
+from landen import cli, sine_gordon
 from landen.cli import M_GRID, format_sig4, main
 from landen.elliptic import complete_elliptic_k
 from landen.sine_gordon import C_NOT_MEASURABLE, SolutionKind
@@ -277,6 +278,42 @@ class TestSgCheck:
                                  "--m", "1e-12")
         assert code == 2 and err == ""
         assert json.loads(out) == {"status": "Degenerate", "reason": C_NOT_MEASURABLE}
+
+    def test_spread_alone_fails(self, capsys, monkeypatch):
+        # verify's c-constancy rule: spread / max(1, |C|) <= --tol
+        route = cli._first_integral_route
+
+        def spread_out(fam):
+            value, closed, verdict, target = route(fam)
+            wide = dataclasses.replace(value, spread=2e-6 * max(1.0, abs(value.c)))
+            return wide, closed, verdict, target
+
+        code, out, _ = run_cli(capsys, "sg-check", "--family", "dn", "--p", "3", "--m", "0.5")
+        assert code == 0 and json.loads(out)["status"] == "Pass"
+        monkeypatch.setattr(cli, "_first_integral_route", spread_out)
+        code, out, _ = run_cli(capsys, "sg-check", "--family", "dn", "--p", "3", "--m", "0.5")
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "Fail"
+        record = doc["results"][0]
+        assert record["ode_max_abs"] <= 1e-6
+        assert abs(record["implied_m_tilde"] - record["general_m_tilde"]) <= 1e-8
+        code, out, _ = run_cli(capsys, "sg-check", "--family", "dn", "--p", "3", "--m", "0.5",
+                               "--tol", "3e-6")
+        assert code == 0 and json.loads(out)["status"] == "Pass"
+
+    def test_every_grid_cell_passes_the_spread_gate(self, capsys):
+        # the gate changes no status on p 2..7 x M_GRID: the widest relative
+        # spread there is 2.2e-10 (cn, p = 7, m = 0.1)
+        wide = []
+        for family in ("dn", "cn", "sn"):
+            for p in range(2, 8):
+                for m in M_GRID:
+                    _, out, _ = run_cli(capsys, "sg-check", "--family", family,
+                                        "--p", str(p), "--m", repr(m))
+                    for record in json.loads(out).get("results", []):
+                        if record["c_spread"] / max(1.0, abs(record["c"])) > 1e-9:
+                            wide.append((family, p, m))
+        assert not wide
 
     @pytest.mark.parametrize("p,m", UNMEASURABLE_DN_CELLS)
     def test_unmeasurable_first_integral_is_degenerate(self, capsys, p, m):

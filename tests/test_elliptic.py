@@ -402,6 +402,93 @@ class TestSplitEvaluation:
         assert_triples_equal(result[0], want)
 
 
+# Parameters whose AGM chains run 1 to 7 levels deep (in float64 and in
+# longdouble), with the exact branches m = 0 and m = 1 and a clamped value.
+ARRAY_M = np.array([0.3, 1e-8, 0.0, 1e-12, 0.01, 0.1, 0.5, 1.0, 0.9, 0.999, 1 - 1e-13,
+                    0.99999, 1 - 1e-8, 1e-5, 0.75])
+
+
+def stacked(x_rows, ms, dtype):
+    """Per-m scalar calls, row j of x at ms[j], stacked: the reference for
+    an array m."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModulusClampWarning)
+        rows = [jacobi_eval(x, m, dtype=dtype) for x, m in zip(x_rows, ms)]
+    return tuple(np.stack([getattr(row, name) for row in rows]) for name in ("sn", "cn", "dn"))
+
+
+def assert_bitwise(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert np.array_equal(g, w)
+        assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+class TestArrayM:
+    @pytest.mark.parametrize("dtype", (np.float64, np.longdouble))
+    def test_equals_stacked_scalar_calls(self, dtype):
+        depths = {elliptic._agm_chain(m, np.dtype(dtype))[2] for m in ARRAY_M
+                  if 0.0 < m < 1.0 - 1e-12}
+        assert set(range(1, 8)) <= depths
+        x = np.linspace(-30.0, 30.0, 97)  # through 0, so signed zeros occur
+        with pytest.warns(ModulusClampWarning, match="0.9999999999999") as caught:
+            got = jacobi_eval(x, ARRAY_M[:, None], dtype=dtype)
+        assert [w.filename for w in caught] == [__file__]  # one warning, at the caller
+        assert_bitwise(got, stacked([x] * len(ARRAY_M), ARRAY_M, dtype))
+
+    @pytest.mark.parametrize("dtype", (np.float64, np.longdouble))
+    def test_broadcast_shapes(self, dtype):
+        rng = np.random.default_rng(3)
+        ms = np.array([0.1, 0.5, 0.9, 0.99])
+        x = rng.uniform(-20.0, 20.0, (4, 33))
+        assert_bitwise(jacobi_eval(x, ms[:, None], dtype=dtype), stacked(x, ms, dtype))
+        # verify's layout: (term, m, grid, x) against m of shape (1, M, 1, 1)
+        x = rng.uniform(-20.0, 20.0, (3, 4, 2, 16))
+        got = jacobi_eval(x, ms.reshape(1, -1, 1, 1), dtype=dtype)
+        assert got.sn.shape == x.shape
+        want = stacked(np.moveaxis(x, 1, 0), ms, dtype)
+        assert_bitwise(tuple(np.moveaxis(g, 1, 0) for g in got), want)
+        # a scalar x against an array m gives an array
+        point = jacobi_eval(1.25, ms, dtype=dtype)
+        assert point.sn.shape == ms.shape
+        assert_bitwise(point, stacked([1.25] * len(ms), ms, dtype))
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("dtype", (np.float64, np.longdouble))
+    def test_split_path_matches_serial_kernel(self, dtype, workers, monkeypatch):
+        splits = []
+        split_eval = elliptic._split_eval
+        monkeypatch.setattr(elliptic, "_split_eval",
+                            lambda x, chain: splits.append(x.size) or split_eval(x, chain))
+        monkeypatch.setattr(elliptic, "_worker_count", lambda: workers)
+        ms = np.array([0.1, 0.9, 0.5, 0.0, 0.99999, 1.0])
+        x = np.random.default_rng(8).uniform(-40.0, 40.0, (len(ms), 3 * elliptic._CHUNK + 11))
+        got = jacobi_eval(x, ms[:, None], dtype=dtype)
+        assert splits == [x.size]
+        kernel = [serial(row, m, dtype) for row, m in zip(x, ms) if 0.0 < m < 1.0]
+        want = tuple(np.stack([k[i] for k in kernel]) for i in range(3))
+        regular = (ms > 0.0) & (ms < 1.0)
+        assert_bitwise(tuple(g[regular] for g in got), want)
+        assert_bitwise(got, stacked(x, ms, dtype))
+
+    @pytest.mark.parametrize("bad", (np.nan, 1.5, -0.25))
+    def test_bad_element_raises(self, bad):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got"):
+            jacobi_eval(np.linspace(0.0, 1.0, 5), np.array([0.5, bad, 0.25])[:, None])
+        with pytest.raises(ValueError, match=r"m of K\(m\).*\[0, 1\)"):
+            complete_elliptic_k(np.array([0.5, bad]))
+
+    def test_complete_k_elementwise(self):
+        ms = ARRAY_M[ARRAY_M < 1.0]
+        for dtype in (np.float64, np.longdouble):
+            got = complete_elliptic_k(ms.reshape(2, -1), dtype=dtype)
+            assert got.shape == (2, len(ms) // 2) and got.dtype == dtype
+            want = [complete_elliptic_k(m, dtype=dtype) for m in ms]
+            assert np.array_equal(got.reshape(-1), np.array(want, dtype=dtype))
+        with pytest.raises(ValueError, match="divergent at m = 1"):
+            complete_elliptic_k(np.array([0.5, 1.0]))
+
+
 class TestJacobiOracle:
     @pytest.mark.parametrize("m", M_GRID)
     def test_origin(self, m):

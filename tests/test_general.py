@@ -14,8 +14,8 @@ from landen.elliptic import complete_elliptic_k, jacobi_eval
 from landen.general import (CN_EVEN_MIN_M, AlternatingSumDegenerateError, Family,
                             LandenSpec, _csum, _raw_coefficients, _rhs_from_raw,
                             a5_product, coefficients,
-                            m_tilde_closed_p3, m_tilde_closed_p4, transform_rhs,
-                            verify_identity)
+                            m_tilde_closed_p3, m_tilde_closed_p4, sum_route_m_tilde,
+                            transform_rhs, verify_identity)
 
 ALL_FAMILIES = (Family.DN, Family.CN, Family.SN)
 M_GRID = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
@@ -319,6 +319,115 @@ class TestVerifyIdentity:
     def test_grid_floor(self):
         with pytest.raises(ValueError):
             verify_identity(spec(Family.DN, 3), 0.5, 8)
+
+
+def identity_per_cell(s, m, grid_points):
+    """(max, mean) of verify_identity's residual from scalar-m calls, one
+    cell at a time: the reference for the batch over m and families."""
+    raw = _raw_coefficients(s, m)
+    width = 2.0 if s.family is Family.DN else 4.0
+    xs = np.linspace(0.0, width * float(raw.big_k_tilde), grid_points)
+    rhs = _rhs_from_raw(raw, s, m, xs)
+    single = jacobi_eval(xs.astype(LD), float(raw.m_tilde), dtype=LD)
+    diff = np.abs(np.asarray(getattr(single, s.family.value) - rhs, dtype=np.float64))
+    return float(diff.max()), float(diff.mean())
+
+
+def sum_route_per_cell(s, m):
+    """The paper's sums at one m with a scalar-m jacobi_eval call, term by
+    term: the reference for the batch over m."""
+    one, two, md = LD(1), LD(2), LD(m)
+    step = (4 if s.odd else 2) * complete_elliptic_k(m, dtype=LD) / LD(s.p)
+    sn, cn, dn = jacobi_eval(step * np.arange(s.p, dtype=LD), m, dtype=LD)
+    alt = [-v if i % 2 else v for i, v in enumerate(dn)]
+    if s.family is Family.DN:
+        alpha = one / _csum(list(dn))
+        m_tilde = (md - two) * alpha ** 2 + two * alpha ** 3 * _csum(list(dn ** 3))
+    elif s.family is Family.CN and s.odd:
+        alpha = one / _csum(list(cn))
+        m_tilde = md / ((one - two * md) * alpha ** 2
+                        + two * md * alpha ** 3 * _csum(list(cn ** 3)))
+    elif s.family is Family.CN:
+        alpha = one / _csum(alt)
+        m_tilde = one / ((md - two) * alpha ** 2
+                         + two * alpha ** 3 * _csum([v ** 3 for v in alt]))
+    elif s.odd:
+        a1, a3 = one / _csum(list(dn)), one / _csum(list(cn))
+        m_tilde = md * a1 ** 2 / a3 ** 2
+    else:
+        prod = sn[1]
+        for v in sn[2:]:
+            prod = prod * v
+        m_tilde = md ** s.p * (one / _csum(list(dn))) ** 4 * prod ** 4
+    return float(m_tilde)
+
+
+class TestBatches:
+    """verify's family scope evaluates each p for all of M_GRID and the
+    three families at once; every value is the one-cell value exactly."""
+
+    @pytest.mark.parametrize("p", range(2, 8))
+    def test_identity_batch_equals_per_cell(self, p):
+        residuals, m_tildes = general._identity_residuals(p, M_GRID, 128, ALL_FAMILIES)
+        for j, m in enumerate(M_GRID):
+            for family in ALL_FAMILIES:
+                s = spec(family, p)
+                got = residuals[family][j]
+                assert got == verify_identity(s, m, 128)
+                assert (got.max_abs, got.mean_abs) == identity_per_cell(s, m, 128)
+                assert m_tildes[j] == coefficients(s, m).m_tilde
+
+    @pytest.mark.parametrize("p", range(2, 8))
+    def test_sum_route_batch_equals_per_cell(self, p):
+        routes = general._sum_routes(p, M_GRID, ALL_FAMILIES)
+        for j, m in enumerate(M_GRID):
+            for family in ALL_FAMILIES:
+                s = spec(family, p)
+                assert routes[family][j] == sum_route_m_tilde(s, m)
+                assert routes[family][j] == sum_route_per_cell(s, m)
+
+    def test_one_family_at_the_boundary_m(self):
+        # m = 0 has its own coefficients; a batch of one family holds only
+        # that family's grid
+        for family in (Family.DN, Family.SN):
+            s = spec(family, 4)
+            residuals, _ = general._identity_residuals(4, [0.0, 0.5], 64, (family,))
+            assert residuals[family] == [verify_identity(s, 0.0, 64),
+                                         verify_identity(s, 0.5, 64)]
+            assert (residuals[family][0].max_abs,
+                    residuals[family][0].mean_abs) == identity_per_cell(s, 0.0, 64)
+
+    def test_family_records_equal_the_public_functions(self):
+        from landen.cli import SUM_ROUTE_RTOL, _family_records
+        records = _family_records(128, 1e-9)
+        assert len(records) == 7 * 6 * len(M_GRID)
+        for r in records:
+            p, m = r["p"], r["m"]
+            sums = [sum_route_m_tilde(spec(f, p), m) for f in ALL_FAMILIES]
+            kind, _, family = r["check"].rpartition("-")
+            if kind == "identity":
+                assert r["max_abs"] == verify_identity(spec(Family(family), p), m).max_abs
+            elif kind == "sum-route":
+                value = sum_route_m_tilde(spec(Family(family), p), m)
+                nome = coefficients(spec(Family(family), p), m).m_tilde
+                rel = abs(value - nome) / nome
+                assert r.get("max_abs", r.get("rel_err")) == rel
+                assert ("pass" in r) == (rel <= SUM_ROUTE_RTOL)
+            else:
+                assert r["check"] == "m-tilde-agreement"
+                assert r["max_abs"] == max(abs(a - b) for a in sums for b in sums)
+
+    def test_family_scope_kernel_call_budget(self, tmp_path, monkeypatch):
+        # three jacobi_eval calls per p: right-hand sides, left-hand sides
+        # and the sums' shift points (324 kernel calls before batching)
+        from landen import elliptic
+        from landen.cli import main
+        calls = []
+        kernel = elliptic._landen_kernel
+        monkeypatch.setattr(elliptic, "_landen_kernel",
+                            lambda x, *chain: calls.append(x.size) or kernel(x, *chain))
+        assert main(["verify", "--scope", "family", "--out", str(tmp_path / "v.json")]) == 0
+        assert len(calls) <= 18
 
 
 class TestClosedForms:

@@ -11,8 +11,9 @@ from landen.general import (AlternatingSumDegenerateError, Family, LandenSpec, _
                             coefficients)
 from landen.sine_gordon import (Branch, FirstIntegralValue, NoClosedFormError,
                                 NotMeasurableError, SignConvention, SolutionFamily, SolutionKind,
-                                _pieces, _psi_and_derivative, classify, closed_form_c, default_samples,
-                                first_integral, first_integral_samples,
+                                _pieces, _psi_and_derivative, _psi_rows, classify, closed_form_c,
+                                default_samples, first_integral, first_integral_samples,
+                                first_integrals,
                                 ode_residual, psi_derivative, psi_value,
                                 solution_kind, solution_period)
 
@@ -165,6 +166,77 @@ def test_psi_bitwise_equals_per_term_loop(kind):
                 f64 = np.float64
                 assert np.array_equal(psi_value(fam, x), np.asarray(psi, dtype=f64))
                 assert np.array_equal(psi_derivative(fam, x), np.asarray(dpsi, dtype=f64))
+
+
+SG_M_GRID = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
+
+
+@pytest.mark.parametrize("kind", list(SolutionKind))
+def test_psi_rows_equal_per_term_loop(kind):
+    # one evaluation for all m of a (kind, p), the separatrix m = 1 included
+    p = 5 if kind in (SolutionKind.DN_ODD, SolutionKind.CN_ODD, SolutionKind.SN_ODD) else 4
+    fams = [SolutionFamily(kind, p, m) for m in SG_M_GRID + (1.0,)]
+    xs = [default_samples(fam) for fam in fams]
+    rows = _psi_rows(fams, xs)
+    for fam, x, (psi, dpsi) in zip(fams, xs, rows):
+        want = psi_per_term(fam, x) if fam.m < 1.0 else _psi_and_derivative(fam, x)
+        assert np.array_equal(psi, want[0]) and np.array_equal(dpsi, want[1])
+
+
+class TestBatches:
+    """verify's sine-Gordon scope evaluates each (kind, p) for all of its m
+    at once; every value is the one-cell value exactly."""
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_first_integrals_equal_per_cell(self, family):
+        for p in range(2, 8):
+            fams = [SolutionFamily(solution_kind(family, p), p, m) for m in SG_M_GRID]
+            values = first_integrals(fams, [default_samples(fam) for fam in fams])
+            for fam, value in zip(fams, values):
+                samples = first_integral_samples(fam, default_samples(fam))
+                if samples.size < 2:
+                    assert isinstance(value, NotMeasurableError)
+                    with pytest.raises(NotMeasurableError):
+                        first_integral(fam, default_samples(fam))
+                    continue
+                assert value == first_integral(fam, default_samples(fam))
+                assert value.c == float(samples.mean())
+                assert value.spread == float(samples.max() - samples.min())
+
+    def test_sine_gordon_records_equal_the_public_functions(self):
+        from landen.cli import _sine_gordon_records
+        records = _sine_gordon_records(1e-9)
+        for r in records:
+            p, m = r["p"], r["m"]
+            fam = next(SolutionFamily(solution_kind(f, p), p, m) for f in Family
+                       if r["check"].endswith("-" + solution_kind(f, p).value))
+            kind = r["check"][:-len(fam.kind.value) - 1]
+            if kind == "c-route":
+                with pytest.raises(NotMeasurableError):
+                    first_integral(fam, default_samples(fam))
+                continue
+            value = first_integral(fam, default_samples(fam))
+            scale = max(1.0, abs(value.c))
+            if kind == "c-constancy":
+                assert r["max_abs"] == value.spread / scale
+            elif kind == "c-closed-form":
+                assert r["max_abs"] == abs(value.c - closed_form_c(fam)) / scale
+            elif kind == "implied-m-tilde":
+                assert r["max_abs"] == abs(classify(value).m_tilde - fam.m_tilde)
+            else:
+                assert kind == "c-range"
+
+    def test_sine_gordon_scope_kernel_call_budget(self, tmp_path, monkeypatch):
+        # one psi evaluation per (kind, p): 108 kernel calls before batching
+        from landen import elliptic
+        from landen.cli import main
+        calls = []
+        kernel = elliptic._landen_kernel
+        monkeypatch.setattr(elliptic, "_landen_kernel",
+                            lambda x, *chain: calls.append(x.size) or kernel(x, *chain))
+        target = tmp_path / "v.json"
+        assert main(["verify", "--scope", "sine-gordon", "--out", str(target)]) == 0
+        assert len(calls) <= 18
 
 
 class TestFirstIntegral:
