@@ -3,7 +3,9 @@
 The complete integral of the first kind is computed as
 ``K(m) = pi / (2 * AGM(1, k'))`` and the triple ``(sn, cn, dn)`` by a
 descending Landen recursion driven by the same arithmetic-geometric mean
-chain.  Both are quadratically convergent and carry no tabulated data.
+chain.  The recursion starts at the deepest level, where the modulus has
+vanished, from one half-angle tangent per point.  Both are quadratically
+convergent and carry no tabulated data.
 
 A structurally independent slow path, :func:`jacobi_oracle`, inverts the
 defining integral ``F(phi) = int_0^phi dt / sqrt(1 - m sin^2 t)`` by
@@ -214,11 +216,17 @@ def jacobi_eval(x, m, *, dtype=np.float64):
         cn <- c d / (1 + k1 s^2),
         dn <- (1 - k1 s^2) / (1 + k1 s^2),
 
-    starting from the circular values at the deepest (vanishing-modulus)
-    level.  The quarter period K = pi / (2 a_n) that folds the argument
-    comes from the same AGM chain, so each call builds the chain once.
-    Measured absolute error stays below 1e-13 on |x| <= 8 K(m) for the
-    whole admissible range, and below ~6e-15 for m <= 0.9999.
+    starting at the deepest (vanishing-modulus) level from the half-angle
+    tangent t = tan(z / 2) of z = a_n r, r the folded argument:
+    sn = 2t / (1 + t^2), cn = (1 - t)(1 + t) / (1 + t^2), dn = 1.  The
+    quarter period K = pi / (2 a_n) that folds the argument comes from the
+    same AGM chain, so each call builds the chain once.  Measured absolute
+    error stays below 1e-13 on |x| <= 8 K(m) for the whole admissible
+    range.  Against 40-digit mpmath on 20000 seeded points with m from
+    1e-6 to 0.9999 it is at most 57 eps in float64 and 76 eps in
+    longdouble.  Most of it is K's rounding carried through the fold, so
+    it grows with |x| / K: per point it stays below about 8.3 eps (1 + |x| /
+    K) of the dtype.
 
     m = 0 and m = 1 are exact branches (circular and hyperbolic limits);
     parameters within 1e-12 of 1 are clamped to the m = 1 branch and a
@@ -328,6 +336,13 @@ def _landen_kernel(x, a, c, n):
     is cheap; the reduction itself stays in the working dtype.  A quotient
     that rounds across an integer leaves r a rounding error outside
     [0, 4K), where the folds and the recursion are still exact.
+
+    The folded r lies in [0, K], so z = a_n r lies in [0, pi/2] and its
+    half-angle tangent t in [0, 1].  At the deepest level the modulus has
+    vanished and (sn, cn, dn) = (sin z, cos z, 1), which t gives by one
+    tangent instead of a sine and a cosine (the dominant cost in
+    longdouble).  cn is formed as (1 - t)(1 + t), not 1 - t^2, which keeps
+    its relative accuracy near t = 1, where cn vanishes.
     """
     dtype = x.dtype
     one, two, four = dtype.type(1), dtype.type(2), dtype.type(4)
@@ -348,8 +363,11 @@ def _landen_kernel(x, a, c, n):
     r = np.where(refl, two * big_k - r, r)
     cn_flip = np.where(refl, -one, one)
 
-    z = a[n] * r
-    sn, cn, dn = np.sin(z), np.cos(z), np.ones_like(z)
+    t = np.tan(a[n] * r / two)
+    den = one + t * t
+    sn = two * t / den
+    cn = (one - t) * (one + t) / den
+    dn = np.ones_like(t)
     for i in range(n, 0, -1):
         k1 = c[i] / a[i]
         num = k1 * sn * sn

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
@@ -19,6 +21,8 @@ from landen.elliptic import (ModulusClampWarning, complete_elliptic_k, jacobi_ev
 
 M_GRID = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
 EPS = float(np.finfo(float).eps)
+DTYPES = (np.float64, np.longdouble)
+FRAC = st.floats(-8.0, 8.0)  # x / K(m) for the property tests
 
 # Derived with the quadrature oracle below before the AGM path existed.
 K_HALF = 1.8540746773013719
@@ -99,11 +103,13 @@ class TestJacobiEval:
 
     @pytest.mark.parametrize("m", list(M_GRID) + [1e-6, 0.9999])
     def test_pythagorean_identities_ulp(self, m):
-        big_k = complete_elliptic_k(m)
-        x = np.linspace(-4 * big_k, 4 * big_k, 257)
-        sn, cn, dn = jacobi_eval(x, m)
-        assert np.max(np.abs(sn * sn + cn * cn - 1.0)) <= 8 * EPS
-        assert np.max(np.abs(dn * dn + m * sn * sn - 1.0)) <= 8 * EPS
+        for dtype in (np.float64, np.longdouble):
+            eps = np.finfo(dtype).eps
+            big_k = complete_elliptic_k(m, dtype=dtype)
+            x = np.linspace(-4 * big_k, 4 * big_k, 257)
+            sn, cn, dn = jacobi_eval(x, m, dtype=dtype)
+            assert np.max(np.abs(sn * sn + cn * cn - 1)) <= 8 * eps, dtype
+            assert np.max(np.abs(dn * dn + m * sn * sn - 1)) <= 8 * eps, dtype
 
     @pytest.mark.parametrize("m", M_GRID)
     def test_range_bounds(self, m):
@@ -116,15 +122,26 @@ class TestJacobiEval:
         assert np.all(dn <= 1.0 + slack)
         assert np.all(dn >= np.sqrt(1.0 - m) * (1.0 - 4 * EPS))
 
-    @pytest.mark.parametrize("m", M_GRID)
-    def test_periodicity(self, m):
-        big_k = complete_elliptic_k(m)
-        x = np.linspace(0.0, 2 * big_k, 64)
-        base = jacobi_eval(x, m)
-        shifted = jacobi_eval(x + 4 * big_k, m)
-        assert np.max(np.abs(shifted.sn - base.sn)) < 1e-12
-        half = jacobi_eval(x + 2 * big_k, m)
-        assert np.max(np.abs(half.dn - base.dn)) < 1e-12
+    @pytest.mark.parametrize("m", list(M_GRID) + [1e-6, 0.9999])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(dtype=st.sampled_from(DTYPES), frac=FRAC)
+    @example(dtype=np.float64, frac=8.0)
+    @example(dtype=np.longdouble, frac=-8.0)
+    def test_periodicity(self, m, dtype, frac):
+        # sn and cn have period 4K, dn 2K.  The reduction modulo 4K carries
+        # K's rounding times |x| / K, so the limit scales with 1 + |x|.
+        # 200k points per m read at most 1.1 eps (1 + |x|) for 4K and 3.3
+        # for dn's 2K (m = 0.9999).
+        eps = np.finfo(dtype).eps
+        big_k = complete_elliptic_k(m, dtype=dtype)
+        x = dtype(frac) * big_k
+        base = jacobi_eval(x, m, dtype=dtype)
+        for shift, names in ((4, ("sn", "cn", "dn")), (2, ("dn",))):
+            moved_x = x + shift * big_k
+            moved = jacobi_eval(moved_x, m, dtype=dtype)
+            for name in names:
+                err = abs(getattr(moved, name) - getattr(base, name))
+                assert err <= 8 * eps * (1 + abs(moved_x)), (name, shift)
 
     @pytest.mark.parametrize("m", M_GRID)
     def test_dn_at_half_quarter_periods(self, m):
@@ -189,16 +206,100 @@ class TestJacobiEval:
         with pytest.raises(ValueError):
             jacobi_eval(1.0, 1.2)
 
-    @pytest.mark.parametrize("m", [0.1, 0.5, 0.9])
-    def test_against_scipy(self, m):
+    @pytest.mark.parametrize("m", [0.1, 0.5, 0.9, 1e-6, 0.9999, 1 - 1e-5])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(frac=FRAC)
+    @example(frac=8.0)
+    @example(frac=-8.0)
+    def test_against_scipy(self, m, frac):
+        # 200k points per m read at most 3.3e-14 (dn at m = 1 - 1e-5)
         from scipy.special import ellipj
-        big_k = complete_elliptic_k(m)
-        x = np.linspace(-2 * big_k, 2 * big_k, 41)
-        sn_ref, cn_ref, dn_ref, _ = ellipj(x, m)
-        sn, cn, dn = jacobi_eval(x, m)
-        assert_allclose(sn, sn_ref, atol=1e-9)
-        assert_allclose(cn, cn_ref, atol=1e-9)
-        assert_allclose(dn, dn_ref, atol=1e-9)
+        x = frac * complete_elliptic_k(m)
+        for got, want in zip(jacobi_eval(x, m), ellipj(x, m)):
+            assert abs(got - want) <= 1e-13
+
+
+# ---------------------------------------------------------------- accuracy
+
+def ellipfun_errors(x, m, got, mpmath):
+    """|got - ellipfun| of sn, cn, dn at each point, a (3, n) float array.
+
+    Every x and m is taken at its exact binary value, so the 40-digit
+    reference sees the same inputs as the kernel.
+    """
+    def exact(v):
+        num, den = v.as_integer_ratio()
+        return mpmath.mpf(num) / den
+
+    err = np.zeros((3, x.size))
+    with mpmath.workdps(40):
+        for i in range(x.size):
+            u, mm = exact(x[i]), exact(m[i])
+            for j, name in enumerate(("sn", "cn", "dn")):
+                ref = mpmath.ellipfun(name, u, m=mm)
+                err[j, i] = float(abs(exact(got[j][i]) - ref))
+    return err
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_against_mpmath(dtype):
+    # m log-uniform in m on [1e-6, 0.5] or in 1 - m on [1e-4, 0.5], |x| <= 8K;
+    # the first 100 points lie within 1e-6 relative of K, the zero of cn.
+    # The fold carries K's rounding times |x| / K, so each point is held to
+    # 16 eps (1 + |x| / K).  40000 seeded points of this kind read at most
+    # 8.2 / 4.5 / 4.2 (sn/cn/dn) of eps (1 + |x| / K), in both dtypes.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2024)
+    n, near_k = 600, 100
+    low = rng.uniform(size=n) < 0.5
+    m = np.where(low, 10 ** rng.uniform(-6, np.log10(0.5), n),
+                 1 - 10 ** rng.uniform(-4, np.log10(0.5), n))
+    frac = rng.uniform(-8, 8, n)
+    frac[:near_k] = 1 + rng.uniform(-1e-6, 1e-6, near_k)
+    big_k = complete_elliptic_k(m, dtype=dtype)
+    x = frac.astype(dtype) * big_k
+    err = ellipfun_errors(x, m, jacobi_eval(x, m, dtype=dtype), mpmath)
+    limit = 16 * np.finfo(dtype).eps * (1 + np.abs(x / big_k)).astype(float)
+    worst = np.argmax(np.max(err / limit, axis=0))
+    assert np.all(err <= limit), (m[worst], frac[worst], err[:, worst] / limit[worst])
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_chain_without_levels(dtype):
+    # parameters so small that AGM(1, sqrt(1 - m)) has converged at level 0:
+    # the half-angle start alone gives the triple, and dn is exactly 1
+    x = np.linspace(-7.0, 7.0, 57).astype(dtype)
+    eps = np.finfo(dtype).eps
+    for m in (1e-300, 1e-25):
+        assert elliptic._agm_chain(m, np.dtype(dtype))[2] == 0
+        sn, cn, dn = jacobi_eval(x, m, dtype=dtype)
+        assert sn.dtype == dtype and dn.dtype == dtype
+        assert np.array_equal(dn, np.ones_like(x))
+        assert np.max(np.abs(sn - np.sin(x))) <= 8 * eps
+        assert np.max(np.abs(cn - np.cos(x))) <= 8 * eps
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(dtype=st.sampled_from(DTYPES), m=st.floats(0.0, 0.9999), a=FRAC, b=FRAC)
+@example(dtype=np.float64, m=0.9999, a=8.0, b=8.0)
+@example(dtype=np.longdouble, m=0.9999, a=-8.0, b=7.999)
+@example(dtype=np.longdouble, m=5e-324, a=8.0, b=-8.0)
+def test_addition_theorem(dtype, m, a, b):
+    # sn(u + v) (1 - m sn^2 u sn^2 v) = sn u cn v dn v + sn v cn u dn u
+    # (DLMF 22.8.1), without the division that is ill-conditioned near m = 1.
+    # w = u + v carries the reduction's error, so the limit scales with
+    # 1 + |w|.  800k seeded points read at most 13.3 eps (1 + |w|), and
+    # |a| or |b| at 8 with m = 0.9999, 0 or subnormal below 3.
+    eps = np.finfo(dtype).eps
+    big_k = complete_elliptic_k(m, dtype=dtype)
+    u, v = dtype(a) * big_k, dtype(b) * big_k
+    su, cu, du = jacobi_eval(u, m, dtype=dtype)
+    sv, cv, dv = jacobi_eval(v, m, dtype=dtype)
+    w = u + v
+    sw = jacobi_eval(w, m, dtype=dtype).sn
+    lhs = sw * (1 - m * su * su * sv * sv)
+    rhs = su * cv * dv + sv * cu * du
+    assert abs(lhs - rhs) <= 32 * eps * (1 + abs(w))
 
 
 def test_agm_chain_depth_is_bounded():
