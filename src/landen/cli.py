@@ -355,9 +355,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except AlternatingSumDegenerateError as exc:
-        print(f"degenerate: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,10 +18,12 @@ Conventions: the parameter is ``m = k^2`` with ``0 <= m <= 1``; arguments
 are real.  Everything here is a pure function and safe to call from any
 thread.
 
-Large arrays are split over the CPUs the process may use: from 16384
-points on, :func:`jacobi_eval` hands 8192-point chunks to the calling
-thread and one short-lived helper thread per further CPU, joined before it
-returns.  The results are bit-identical to serial evaluation.
+Large kernel runs are split over the CPUs the process may use: from 16384
+points on (x broadcast against m), :func:`jacobi_eval` hands 8192-point
+chunks to the calling thread and one short-lived helper thread per further
+CPU, joined before it returns.  A call whose every m is exact (0, or 1 and
+its clamp band) runs no kernel and starts no thread.  The results are
+bit-identical to serial evaluation.
 """
 
 from __future__ import annotations
@@ -232,24 +234,26 @@ def jacobi_eval(x, m, *, dtype=np.float64):
     parameters within 1e-12 of 1 are clamped to the m = 1 branch and a
     ModulusClampWarning records the clamp.
 
-    An array m broadcasts against x, so one call evaluates many parameters.
-    The AGM chains of all its values are padded to the longest depth (see
-    _agm_levels) and m = 0, m = 1 and the clamp band take their branches
-    elementwise: every element is bit-identical to the call at its own
-    scalar m.
+    Scalar and array m take one path.  m (a scalar as a 0-d array)
+    broadcasts against x, one AGM chain is built for all its values (padded
+    to the longest depth, see _agm_levels) and one kernel run covers every
+    point.  Elements at m = 0, m = 1 or in the clamp band run there as
+    m = 1/2 and are then overwritten by their exact branch; when every
+    element is exact, the kernel does not run.  So an array m gives,
+    element by element, the bits of the call at its own scalar m.
 
-    Arrays of 16384 points or more (with 0 < m < 1) are split into chunks
-    of 8192 points that the calling thread and one extra thread per further
-    CPU the process may use evaluate side by side; the threads are joined
-    before the call returns.  Every step is elementwise, so the result is
-    bit-for-bit the one a single serial pass gives.
+    Kernel runs of 16384 points or more (x broadcast against m) are split
+    into chunks of 8192 points that the calling thread and one extra thread
+    per further CPU the process may use evaluate side by side; the threads
+    are joined before the call returns.  Every step is elementwise, so the
+    result is bit-for-bit the one a single serial pass gives.
 
     Parameters
     ----------
     x : float or array_like
-        Finite real argument(s).  For 0 < m < 1 in the extended dtype they
-        must also lie within the float64 range, where the quadrant quotient
-        is taken.
+        Finite real argument(s).  Where the kernel runs (some m in
+        0 < m <= 1 - 1e-12) in the extended dtype they must also lie within
+        the float64 range, where the quadrant quotient is taken.
     m : float or array_like
         Parameter(s) in [0, 1], broadcast against x.
     dtype : numpy dtype, optional
@@ -260,62 +264,29 @@ def jacobi_eval(x, m, *, dtype=np.float64):
     EllipticTriple
         Scalars for scalar x and m, arrays of the broadcast shape otherwise.
     """
-    m = _validate_m(m)
+    m = np.asarray(_validate_m(m))
     dtype = np.dtype(dtype)
-    scalar = np.ndim(x) == 0 and np.ndim(m) == 0
+    scalar = np.ndim(x) == 0 and m.ndim == 0
     x = np.asarray(x, dtype=dtype)
     if not np.all(np.isfinite(x)):
         raise ValueError("argument x must be finite")
 
-    if np.ndim(m):
-        sn, cn, dn = _eval_array_m(x, m, dtype)
-    elif m == 0.0:
-        sn, cn, dn = np.sin(x), np.cos(x), np.ones_like(x)
-    elif m > 1.0 - _CLAMP_BAND:
-        if m != 1.0:
-            _warn_clamp(m, stacklevel=3)
-        sech = dtype.type(1) / np.cosh(x)
-        sn, cn, dn = np.tanh(x), sech, sech.copy()
-    else:
-        chain = _agm_chain(m, dtype)
-        if x.size < _SPLIT_MIN:
-            sn, cn, dn = _landen_kernel(x, *chain)
-        else:
-            sn, cn, dn = _split_eval(x, chain)
-
-    if scalar:
-        if dtype == np.float64:
-            return EllipticTriple(float(sn[()]), float(cn[()]), float(dn[()]))
-        return EllipticTriple(sn[()], cn[()], dn[()])
-    return EllipticTriple(sn, cn, dn)
-
-
-def _warn_clamp(m, stacklevel):
-    """ModulusClampWarning for a parameter m evaluated at the m = 1 limit."""
-    warnings.warn(f"parameter m = {m!r} lies within {_CLAMP_BAND} of 1; "
-                  "evaluating at the m = 1 limit", ModulusClampWarning,
-                  stacklevel=stacklevel)
-
-
-def _eval_array_m(x, m, dtype):
-    """(sn, cn, dn) at x against the validated float64 array m.
-
-    The kernel runs on every element with one padded chain; the elements
-    at m = 0 and in the m = 1 band stand in for m = 1/2 there and are then
-    overwritten by their exact branches.
-    """
-    shape = np.broadcast_shapes(x.shape, m.shape)
     circular = m == 0.0
     hyperbolic = m > 1.0 - _CLAMP_BAND
-    clamped = hyperbolic & (m != 1.0)
-    if clamped.any():
-        _warn_clamp(float(m[clamped][0]), stacklevel=4)
-    chain = _agm_chain(np.where(circular | hyperbolic, 0.5, m), dtype)
-    full = np.broadcast_to(x, shape)
-    if full.size < _SPLIT_MIN:
-        sn, cn, dn = _landen_kernel(full, *chain)
+    clamped = m[hyperbolic & (m != 1.0)]
+    if clamped.size:
+        warnings.warn(f"parameter m = {float(clamped[0])!r} lies within {_CLAMP_BAND} of 1; "
+                      "evaluating at the m = 1 limit", ModulusClampWarning, stacklevel=2)
+    exact = circular | hyperbolic
+    full = np.broadcast_to(x, np.broadcast_shapes(x.shape, m.shape))
+    if exact.all():  # nothing for the kernel: every element is overwritten below
+        sn = cn = dn = full
     else:
-        sn, cn, dn = _split_eval(full, chain)
+        chain = _agm_chain(np.where(exact, 0.5, m), dtype)
+        if full.size < _SPLIT_MIN:
+            sn, cn, dn = _landen_kernel(full, *chain)
+        else:
+            sn, cn, dn = _split_eval(full, chain)
     one = dtype.type(1)
     if circular.any():
         sn = np.where(circular, np.sin(x), sn)
@@ -326,7 +297,12 @@ def _eval_array_m(x, m, dtype):
         sn = np.where(hyperbolic, np.tanh(x), sn)
         cn = np.where(hyperbolic, sech, cn)
         dn = np.where(hyperbolic, sech, dn)
-    return sn, cn, dn
+
+    if scalar:
+        if dtype == np.float64:
+            return EllipticTriple(float(sn[()]), float(cn[()]), float(dn[()]))
+        return EllipticTriple(sn[()], cn[()], dn[()])
+    return EllipticTriple(sn, cn, dn)
 
 
 def _landen_kernel(x, a, c, n):

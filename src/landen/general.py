@@ -524,9 +524,8 @@ def m_tilde_closed_p4(m):
     m = _validate_m(m, below_one=True, above_zero=True, what="closed-form parameter m")
     big_k = complete_elliptic_k(m, dtype=_LD)
     t = _LD.type(1.0 - m) ** _LD.type(0.25)
-    half = jacobi_eval(big_k / 2, m, dtype=_LD).dn
-    three_half = jacobi_eval(3 * big_k / 2, m, dtype=_LD).dn
-    full = jacobi_eval(big_k, m, dtype=_LD).dn
+    half, three_half, full = jacobi_eval(np.array([big_k / 2, 3 * big_k / 2, big_k]), m,
+                                         dtype=_LD).dn
     worst = max(abs(float(half - t)), abs(float(three_half - t)),
                 abs(float(full - t * t)))
     if worst >= 1e-12:

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from landen import cli, sine_gordon
 from landen.cli import M_GRID, format_sig4, main
 from landen.elliptic import complete_elliptic_k
+from landen.general import AlternatingSumDegenerateError
 from landen.sine_gordon import C_NOT_MEASURABLE, SolutionKind
 
 # the dn cells of p 2..7 x M_GRID whose samples all sit in the |psi| ~ 1
@@ -168,6 +169,17 @@ class TestTable:
     def test_bad_range(self, capsys):
         code, _, err = run_cli(capsys, "table", "--p-min", "5", "--p-max", "3")
         assert code == 2 and err
+
+    def test_stray_degenerate_error_exits_2(self, capsys, monkeypatch):
+        # main has no handler of its own for the degenerate error: it is a
+        # ValueError, so one escaping a command still exits 2
+        def degenerate(args):
+            raise AlternatingSumDegenerateError("every dn tends to 1")
+
+        monkeypatch.setattr(cli, "cmd_table", degenerate)
+        code, out, err = run_cli(capsys, "table")
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
 
 
 class TestFormatSig4:

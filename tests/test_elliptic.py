@@ -82,14 +82,42 @@ class TestJacobiEval:
         assert_array_equal(dn, 1.0 / np.cosh(x))
 
     def test_clamp_band_warns_and_matches_limit(self):
-        with pytest.warns(ModulusClampWarning):
-            triple = jacobi_eval(1.3, 1.0 - 1e-13)
-        assert triple.sn == np.tanh(1.3)
+        # one warning per call, scalar or array m, attributed to the caller
+        clamped = 1.0 - 1e-13
+        for m in (clamped, np.array([0.5, clamped, 1.0])):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                triple = jacobi_eval(1.3, m)
+            assert [w.category for w in caught] == [ModulusClampWarning]
+            assert caught[0].filename == __file__
+            assert f"parameter m = {clamped!r} lies within" in str(caught[0].message)
+            assert np.all(np.asarray(triple.sn)[np.asarray(m) > 0.9] == np.tanh(1.3))
 
     def test_no_warning_outside_band(self, recwarn):
         jacobi_eval(1.3, 0.99)
         jacobi_eval(1.3, 1.0)
         assert not [w for w in recwarn if issubclass(w.category, ModulusClampWarning)]
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("size", (elliptic._SPLIT_MIN - 1, elliptic._SPLIT_MIN + 3))
+    def test_exact_parameters_run_no_kernel(self, size, dtype, monkeypatch):
+        def no_kernel(*args):
+            raise AssertionError("the Landen kernel ran for exact parameters only")
+
+        monkeypatch.setattr(elliptic, "_landen_kernel", no_kernel)
+        x = np.linspace(-7.0, 7.0, size, dtype=dtype)
+        sech = 1 / np.cosh(x)
+        circular = jacobi_eval(x, 0.0, dtype=dtype)
+        hyperbolic = jacobi_eval(x, 1.0, dtype=dtype)
+        both = jacobi_eval(x[:, None], np.array([0.0, 1.0]), dtype=dtype)
+        assert both.sn.shape == (size, 2)
+        for triple, want in ((circular, (np.sin(x), np.cos(x), np.ones_like(x))),
+                             (hyperbolic, (np.tanh(x), sech, sech))):
+            for got, ref in zip(triple, want):
+                assert got.dtype == dtype
+                assert_array_equal(got, ref)
+        for got, c, h in zip(both, circular, hyperbolic):
+            assert_array_equal(got, np.stack([c, h], axis=1))
 
     @pytest.mark.parametrize("m", M_GRID)
     def test_quarter_period_table(self, m):
