@@ -20,8 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .classic import (classic_cn, classic_dn, classic_dn_two_term, classic_m_tilde,
-                      classic_sn)
+from .classic import _classic_sides, classic_dn_two_term, classic_m_tilde
 from .elliptic import complete_elliptic_k, jacobi_eval
 from .general import (AlternatingSumDegenerateError, Family, LandenSpec,
                       _identity_residuals, _sum_routes, coefficients)
@@ -77,7 +76,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json_doc(obj) -> str:
-    return json.dumps(obj, indent=2)
+    return json.dumps(obj, indent=2, allow_nan=False)
 
 
 # ---------------------------------------------------------------- commands
@@ -97,14 +96,18 @@ def cmd_eval(args) -> int:
 def cmd_coeffs(args) -> int:
     spec = LandenSpec(Family(args.family), args.p)
     try:
-        co = coefficients(spec, args.m)
+        doc = vars(coefficients(spec, args.m))
     except AlternatingSumDegenerateError as exc:
-        _emit(_json_doc({"status": "Degenerate", "reason": str(exc)}), args.out)
-        return 2
-    doc = {"alpha": co.alpha, "a_sum": co.a_sum, "m_tilde": co.m_tilde,
-           "arg_scale": co.arg_scale}
+        doc = {"status": "Degenerate", "reason": str(exc)}
+    else:
+        # the limits at m = 0 include inf and nan, which strict JSON cannot carry
+        limits = ", ".join(f"{name} = {value!r}" for name, value in doc.items()
+                           if value is not None and not math.isfinite(value))
+        if limits:
+            doc = {"status": "Degenerate", "reason": f"{args.family} p = {args.p} at m = "
+                   f"{args.m!r} has non-finite coefficients: {limits}"}
     _emit(_json_doc(doc), args.out)
-    return 0
+    return 2 if "status" in doc else 0
 
 
 def cmd_table(args) -> int:
@@ -124,25 +127,24 @@ def cmd_table(args) -> int:
 
 
 def _classic_records(grid: int, tol: float):
+    """classic-* records of all of M_GRID from one batch; each grid spans a
+    period of its left side, 4 K(m~) for sn and cn and 2 K(m~) for dn."""
+    m = np.array(M_GRID)
+    big_k = complete_elliptic_k(classic_m_tilde(m))
+    x = np.linspace(0.0, np.stack([4.0 * big_k, 2.0 * big_k], axis=-1), grid, axis=-1)
+    u = x / (1.0 + np.sqrt(1.0 - m))[:, None, None]
+    sn, cn, dn = _classic_sides(u, m[:, None, None])
+    two = classic_dn_two_term(x[:, 1], m[:, None])
+    diffs = {"classic-sn": (sn.lhs - sn.rhs)[:, 0],
+             "classic-cn": (cn.lhs - cn.rhs)[:, 0],
+             "classic-dn": (dn.lhs - dn.rhs)[:, 1],
+             "classic-dn-two-term": two.lhs - two.rhs}
     records = []
-    for m in M_GRID:
-        kp = math.sqrt(1.0 - m)
-        mt = classic_m_tilde(m)
-        span_sc = 4.0 * float(complete_elliptic_k(mt))
-        span_dn = 2.0 * float(complete_elliptic_k(mt))
-        for name, op, span in (("classic-sn", classic_sn, span_sc),
-                               ("classic-cn", classic_cn, span_sc),
-                               ("classic-dn", classic_dn, span_dn)):
-            u = np.linspace(0.0, span, grid) / (1.0 + kp)
-            res = op(u, m)
-            worst = float(np.max(np.abs(res.lhs - res.rhs)))
-            records.append({"check": name, "m": m, "max_abs": worst,
+    for j, m_j in enumerate(M_GRID):
+        for name, diff in diffs.items():
+            worst = float(np.max(np.abs(diff[j])))
+            records.append({"check": name, "m": m_j, "max_abs": worst,
                             "tol": tol, "pass": worst <= tol})
-        x = np.linspace(0.0, span_dn, grid)
-        two = classic_dn_two_term(x, m)
-        worst = float(np.max(np.abs(two.lhs - two.rhs)))
-        records.append({"check": "classic-dn-two-term", "m": m, "max_abs": worst,
-                        "tol": tol, "pass": worst <= tol})
     return records
 
 

@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .elliptic import _validate_m
+from .elliptic import _PI, _validate_m
 from .general import Family, LandenSpec, _raw_coefficients, _superpose
 
 __all__ = [
@@ -69,7 +69,6 @@ __all__ = [
 ]
 
 _LD = np.dtype(np.longdouble)
-_PI_LD = np.longdouble("3.14159265358979323846264338327950288420")
 
 # Samples this close to |psi| = 1 hit the removable 0/0 of the C formula
 # and are skipped rather than special-cased.  When fewer than two remain
@@ -411,7 +410,9 @@ def _reconstruct_phi(fam, psi, dpsi):
     +-1: at every psi maximum for the dn kinds, at every extremum for the
     cn kinds (which sweep [-1, 1]), and never for the sn kinds, whose
     amplitude sqrt(m~) stays below 1.  Grids from ode_residual start half a
-    step past x = 0, so the touch at the origin lies between samples.
+    step past x = 0, so the touch at the origin lies between samples.  The
+    unwrap is theta = cand + 2 pi k, k the running sum from 0 of the whole
+    turns round((cand[i-1] - cand[i]) / 2 pi) between neighbouring samples.
     """
     d = np.asarray(dpsi)
     if fam.family is Family.DN:
@@ -433,13 +434,10 @@ def _reconstruct_phi(fam, psi, dpsi):
 
     sigma = sigma0 * np.concatenate(([1.0], (-1.0) ** np.cumsum(flips)))
     base = np.arcsin(np.clip(psi, _LD.type(-1), _LD.type(1)))
-    cand = np.where(sigma > 0, base, _PI_LD - base)
-    theta = np.empty_like(cand)
-    theta[0] = cand[0]
-    two_pi = 2 * _PI_LD
-    for i in range(1, len(cand)):
-        theta[i] = cand[i] + two_pi * np.round((theta[i - 1] - cand[i]) / two_pi)
-    return 2 * theta
+    cand = np.where(sigma > 0, base, _PI[_LD] - base)
+    two_pi = 2 * _PI[_LD]
+    turns = np.cumsum(np.round((cand[:-1] - cand[1:]) / two_pi))
+    return 2 * (cand + two_pi * np.concatenate(([0], turns)))
 
 
 def ode_residual(fam: SolutionFamily, grid_points: int = 256) -> OdeResidual:

@@ -96,3 +96,27 @@ def test_degenerate_parameter_rejected():
     for op in (classic_sn, classic_cn, classic_dn):
         with pytest.raises(ValueError):
             op(0.3, 1.0)
+
+
+def test_array_m_equals_scalar_calls():
+    # a batch with one parameter per row gives every row the bits of its
+    # scalar call
+    ms = np.array(M_GRID)
+    u = np.linspace(0.0, 3.0, 57) * (1.0 + ms)[:, None]
+    ops = (classic_sn, classic_cn, classic_dn, classic_dn_two_term)
+    batches = [op(u, ms[:, None]) for op in ops]
+    for j, m in enumerate(M_GRID):
+        for op, batch in zip(ops, batches):
+            want = op(u[j], m)
+            assert np.array_equal(batch.lhs[j], want.lhs)
+            assert np.array_equal(batch.rhs[j], want.rhs)
+            assert batch.m_tilde[j] == want.m_tilde == classic_m_tilde(m)
+
+
+def test_array_m_tilde_equals_scalar_calls():
+    # a scalar square through pow() would miss the array's in the last bit
+    # for about one m in a thousand
+    ms = np.random.default_rng(12).random(4000)
+    assert np.array_equal(classic_m_tilde(ms), [classic_m_tilde(m) for m in ms])
+    with pytest.raises(ValueError):
+        classic_m_tilde(np.array([0.5, 1.0]))

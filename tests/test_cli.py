@@ -2,14 +2,18 @@
 
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from landen import cli, sine_gordon
+from landen.classic import (classic_cn, classic_dn, classic_dn_two_term, classic_m_tilde,
+                            classic_sn)
 from landen.cli import M_GRID, format_sig4, main
 from landen.elliptic import complete_elliptic_k
 from landen.general import AlternatingSumDegenerateError
@@ -23,6 +27,10 @@ UNMEASURABLE_DN_CELLS = [(4, 0.1), (4, 0.25), (5, 0.1), (5, 0.25), (6, 0.1), (6,
 # --tol values both verify and sg-check refuse with exit 2: a gate must be a
 # positive finite number (nan fails every record, inf passes every one)
 BAD_TOLS = ("-1", "0", "nan", "inf")
+
+
+def refuse_json_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +112,23 @@ class TestCoeffs:
                                  "--m", "0.1")
         assert code == 2 and out == ""
         assert err.startswith("error: dn p = 142 is beyond the nome route at m = 0.1")
+
+    @pytest.mark.parametrize("family,p,fields", [
+        ("sn", 3, "alpha = inf"), ("cn", 3, "alpha = inf, arg_scale = nan"),
+        ("cn", 5, "alpha = inf, arg_scale = nan"),
+    ])
+    def test_non_finite_limits_refused_in_strict_json(self, capsys, family, p, fields):
+        code, out, _ = run_cli(capsys, "coeffs", "--family", family, "--p", str(p),
+                               "--m", "0")
+        doc = json.loads(out, parse_constant=refuse_json_constant)
+        assert code == 2 and doc["status"] == "Degenerate"
+        assert doc["reason"] == (f"{family} p = {p} at m = 0.0 has non-finite "
+                                 f"coefficients: {fields}")
+
+    def test_finite_limits_at_zero_pass(self, capsys):
+        code, out, _ = run_cli(capsys, "coeffs", "--family", "dn", "--p", "3", "--m", "0")
+        assert code == 0
+        assert json.loads(out, parse_constant=refuse_json_constant)["m_tilde"] == 0.0
 
     def test_byte_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "coeffs", "--family", "cn", "--p", "5",
@@ -212,6 +237,35 @@ class TestVerify:
         assert doc["status"] == "Pass"
         assert doc["tool_version"]
         assert all(r["pass"] for r in doc["results"])
+
+    def test_classic_scope_kernel_call_budget(self, capsys, monkeypatch):
+        # one batch over M_GRID: two calls for the three identities, two for
+        # the two-term rewrite (54 when each m ran alone)
+        from landen import elliptic
+        calls = []
+        kernel = elliptic._landen_kernel
+        monkeypatch.setattr(elliptic, "_landen_kernel",
+                            lambda x, *chain: calls.append(x.size) or kernel(x, *chain))
+        code, _, _ = run_cli(capsys, "verify", "--scope", "classic")
+        assert code == 0
+        assert len(calls) <= 4
+
+    @pytest.mark.parametrize("grid", [16, 128])
+    def test_classic_records_equal_per_m_public_calls(self, grid):
+        want = []
+        for m in M_GRID:
+            kp = math.sqrt(1.0 - m)
+            big_k = complete_elliptic_k(classic_m_tilde(m))
+            for name, op, span in (("classic-sn", classic_sn, 4.0 * big_k),
+                                   ("classic-cn", classic_cn, 4.0 * big_k),
+                                   ("classic-dn", classic_dn, 2.0 * big_k)):
+                res = op(np.linspace(0.0, span, grid) / (1.0 + kp), m)
+                want.append((name, m, float(np.max(np.abs(res.lhs - res.rhs)))))
+            two = classic_dn_two_term(np.linspace(0.0, 2.0 * big_k, grid), m)
+            want.append(("classic-dn-two-term", m, float(np.max(np.abs(two.lhs - two.rhs)))))
+        records = cli._classic_records(grid, 1e-9)
+        assert [(r["check"], r["m"], r["max_abs"].hex()) for r in records] == \
+            [(name, m, worst.hex()) for name, m, worst in want]
 
     def test_family_scope_below_machine_floor_fails(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--scope", "family",

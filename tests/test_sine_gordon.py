@@ -6,18 +6,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from landen.elliptic import jacobi_eval
+from landen.elliptic import _PI, jacobi_eval
 from landen.general import (AlternatingSumDegenerateError, Family, LandenSpec, _csum,
                             coefficients)
 from landen.sine_gordon import (Branch, FirstIntegralValue, NoClosedFormError,
                                 NotMeasurableError, SignConvention, SolutionFamily, SolutionKind,
-                                _pieces, _psi_and_derivative, _psi_rows, classify, closed_form_c,
+                                _pieces, _psi_and_derivative, _psi_rows, _reconstruct_phi,
+                                classify, closed_form_c,
                                 default_samples, first_integral, first_integral_samples,
                                 first_integrals,
                                 ode_residual, psi_derivative, psi_value,
                                 solution_kind, solution_period)
 
 LD = np.longdouble
+LD_DTYPE = np.dtype(LD)
 
 # one moderate (p, m) cell per kind; transformed parameters stay large
 # enough that the removable |psi| = 1 singularity leaves plenty of samples
@@ -445,6 +447,36 @@ class TestOdeResidual:
         fam = SolutionFamily(SolutionKind.CN_EVEN_ALT, 6, 0.75)
         assert ode_residual(fam, 128).max_abs < 5e-6
         assert ode_residual(fam, 1024).max_abs > ode_residual(fam, 192).max_abs
+
+
+def phi_per_sample(psi, dpsi):
+    """phi of a cn kind, unwrapped one sample at a time: the branch flips at
+    every extremum of psi, and each sample takes the whole turns that bring
+    it nearest the value just before it."""
+    flips = ((dpsi[:-1] > 0) & (dpsi[1:] < 0)) | ((dpsi[:-1] < 0) & (dpsi[1:] > 0))
+    sigma = -np.concatenate(([1.0], (-1.0) ** np.cumsum(flips)))
+    base = np.arcsin(np.clip(psi, LD(-1), LD(1)))
+    cand = np.where(sigma > 0, base, _PI[LD_DTYPE] - base)
+    theta = np.empty_like(cand)
+    theta[0] = cand[0]
+    two_pi = 2 * _PI[LD_DTYPE]
+    for i in range(1, len(cand)):
+        theta[i] = cand[i] + two_pi * np.round((theta[i - 1] - cand[i]) / two_pi)
+    assert np.any(theta != cand), "the cell never wraps"
+    return 2 * theta
+
+
+@pytest.mark.parametrize("kind,p,m", [(SolutionKind.CN_ODD, 5, 0.75),
+                                      (SolutionKind.CN_ODD, 7, 0.9),
+                                      (SolutionKind.CN_EVEN_ALT, 4, 0.9)])
+@pytest.mark.parametrize("grid", [128, 256, 512])
+def test_unwrap_equals_per_sample_loop(kind, p, m, grid):
+    # the grid ode_residual samples
+    fam = SolutionFamily(kind, p, m)
+    h = solution_period(fam) / grid
+    xs = (np.arange(grid, dtype=LD) + LD(0.5)) * LD(h)
+    psi, dpsi = _psi_and_derivative(fam, xs)
+    assert np.array_equal(_reconstruct_phi(fam, psi, dpsi), phi_per_sample(psi, dpsi))
 
 
 def test_solution_period_values():
