@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import _validate_m, complete_elliptic_k, jacobi_eval
+from .elliptic import complete_elliptic_k, jacobi_eval
+from .nome import _validate_m
 
 __all__ = [
     "ClassicLandenResult",

@@ -8,6 +8,11 @@ equation route for one superposition).
 Exit codes: 0 pass, 1 verification failure, 2 degenerate input or domain
 error.  Output is deterministic: identical invocations produce identical
 bytes.
+
+Each command imports the layers it uses when it runs.  ``coeffs``,
+``table`` and ``eval --fn K`` read only :mod:`landen.nome` and load no
+numpy; ``eval --fn sn|cn|dn``, ``verify`` and ``sg-check`` load numpy with
+the evaluation layers.
 """
 
 from __future__ import annotations
@@ -17,16 +22,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
-from .classic import _classic_sides, classic_dn_two_term, classic_m_tilde
-from .elliptic import complete_elliptic_k, jacobi_eval
-from .general import (AlternatingSumDegenerateError, Family, LandenSpec,
-                      _identity_residuals, _sum_routes, coefficients)
-from .sine_gordon import (NoClosedFormError, NotMeasurableError, SolutionFamily,
-                          classify, closed_form_c, default_samples, first_integrals,
-                          ode_residual, solution_kind)
 
 M_GRID = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
 TABLE_M_DEFAULT = (0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 0.9999, 0.99999, 1.0)
@@ -83,10 +79,12 @@ def _json_doc(obj) -> str:
 
 def cmd_eval(args) -> int:
     if args.fn == "K":
-        value = float(complete_elliptic_k(args.m))
+        from .nome import quarter_period
+        value = quarter_period(args.m)
     else:
         if args.x is None:
             raise ValueError(f"--x is required for --fn {args.fn}")
+        from .elliptic import jacobi_eval
         triple = jacobi_eval(args.x, args.m)
         value = float(getattr(triple, args.fn))
     _emit(f"{value:.15g}", args.out)
@@ -94,6 +92,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
+    from .nome import AlternatingSumDegenerateError, Family, LandenSpec, coefficients
     spec = LandenSpec(Family(args.family), args.p)
     try:
         doc = vars(coefficients(spec, args.m))
@@ -111,6 +110,7 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .nome import Family, LandenSpec, coefficients
     if not (2 <= args.p_min <= args.p_max):
         raise ValueError(f"need 2 <= p-min <= p-max, got {args.p_min}..{args.p_max}")
     ps = list(range(args.p_min, args.p_max + 1))
@@ -129,6 +129,10 @@ def cmd_table(args) -> int:
 def _classic_records(grid: int, tol: float):
     """classic-* records of all of M_GRID from one batch; each grid spans a
     period of its left side, 4 K(m~) for sn and cn and 2 K(m~) for dn."""
+    import numpy as np
+
+    from .classic import _classic_sides, classic_dn_two_term, classic_m_tilde
+    from .elliptic import complete_elliptic_k
     m = np.array(M_GRID)
     big_k = complete_elliptic_k(classic_m_tilde(m))
     x = np.linspace(0.0, np.stack([4.0 * big_k, 2.0 * big_k], axis=-1), grid, axis=-1)
@@ -154,6 +158,8 @@ def _family_records(grid: int, tol: float):
     Each p is one batch over all of M_GRID and the three families: three
     jacobi_eval calls (right-hand sides, left-hand sides, shift points).
     """
+    from .general import _identity_residuals, _sum_routes
+    from .nome import Family
     records = []
     families = tuple(Family)
     for p in range(2, 8):
@@ -187,6 +193,7 @@ def _first_integral_route(fam):
     closed-form C or None, classify(C), general m~).  NotMeasurableError
     passes through.
     """
+    from .sine_gordon import NotMeasurableError
     route = _first_integral_routes([fam])[0]
     if isinstance(route, NotMeasurableError):
         raise route
@@ -196,6 +203,8 @@ def _first_integral_route(fam):
 def _first_integral_routes(fams):
     """_first_integral_route of solutions of one kind and p, from one
     evaluation; an entry is the NotMeasurableError where that raises."""
+    from .sine_gordon import (NoClosedFormError, NotMeasurableError, classify,
+                              closed_form_c, default_samples, first_integrals)
     routes = []
     for fam, value in zip(fams, first_integrals(fams, [default_samples(fam) for fam in fams])):
         if isinstance(value, NotMeasurableError):
@@ -210,6 +219,8 @@ def _first_integral_routes(fams):
 
 
 def _sine_gordon_records(tol: float):
+    from .nome import Family
+    from .sine_gordon import NotMeasurableError, SolutionFamily, solution_kind
     records = []
     for p in range(2, 8):
         fams = {family: [SolutionFamily(solution_kind(family, p), p, m) for m in M_GRID]
@@ -267,6 +278,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sg_check(args) -> int:
+    from .nome import AlternatingSumDegenerateError
+    from .sine_gordon import NotMeasurableError, SolutionFamily, ode_residual, solution_kind
     _check_tol(args.tol)
     kind = solution_kind(args.family, args.p)
     try:

@@ -11,8 +11,8 @@ A structurally independent slow path, :func:`jacobi_oracle`, inverts the
 defining integral ``F(phi) = int_0^phi dt / sqrt(1 - m sin^2 t)`` by
 root-finding on adaptive quadrature.  It exists so the fast path can be
 cross-validated without trusting any shared code.  It is the only user of
-scipy, which it imports on its first call: importing this module (or
-``landen`` and ``landen.cli``) loads numpy alone.
+scipy, which it imports on its first call: importing this module loads
+numpy alone.
 
 Conventions: the parameter is ``m = k^2`` with ``0 <= m <= 1``; arguments
 are real.  Everything here is a pure function and safe to call from any
@@ -29,13 +29,14 @@ bit-identical to serial evaluation.
 from __future__ import annotations
 
 import contextvars
-import math
 import os
 import threading
 import warnings
 from typing import NamedTuple
 
 import numpy as np
+
+from .nome import _validate_m
 
 __all__ = [
     "EllipticTriple",
@@ -84,30 +85,6 @@ class EllipticTriple(NamedTuple):
     dn: float
 
 
-def _validate_m(m, *, below_one=False, above_zero=False, what="parameter m"):
-    """m as a float (an array m as a float64 array), or ValueError unless
-    every value lies in [0, 1].
-
-    below_one and above_zero open the interval at that end; `what` names
-    the quantity in the message, which quotes the first value outside it.
-    NaN and +-inf fail every interval.
-    """
-    if np.ndim(m):
-        values = np.asarray(m, dtype=np.float64)
-        ok = ((values > 0.0 if above_zero else values >= 0.0)
-              & (values < 1.0 if below_one else values <= 1.0))
-        if ok.all():
-            return values
-        m = values[~ok][0]
-    m = float(m)
-    low_ok = m > 0.0 if above_zero else m >= 0.0
-    high_ok = m < 1.0 if below_one else m <= 1.0
-    if not (low_ok and high_ok):
-        interval = f"{'(' if above_zero else '['}0, 1{')' if below_one else ']'}"
-        raise ValueError(f"{what} must lie in {interval}, got {m!r}")
-    return m
-
-
 def _agm_chain(m, dtype):
     """AGM scale factors a_n and half-differences c_n for parameter m.
 
@@ -150,35 +127,6 @@ def _agm_levels(b, dtype):
         b = np.sqrt(a_prev * b)
         live = live & (abs(a[-1] - b) > rtol * a[-1])
     return a, c
-
-
-def _nome(m, dtype):
-    """(log q, K(m)) for 0 < m < 1, with the nome q = exp(-pi K'/K).
-
-    K = pi / (2 AGM(1, sqrt(1 - m))) and K' = K(1 - m) = pi / (2 AGM(1,
-    sqrt(m))) (DLMF 19.8.5, 22.2.1).  The second chain starts from sqrt(m),
-    so 1 - m is never formed and q keeps its relative accuracy at small m.
-    """
-    a_k = _agm_chain(m, dtype)[0][-1]
-    a_kp = _agm_levels(np.sqrt(dtype.type(m)), dtype)[0][-1]
-    return -_PI[dtype] * a_k / a_kp, _PI[dtype] / (dtype.type(2) * a_k)
-
-
-def _from_nome(log_q, dtype):
-    """(m, K(m)) of the parameter whose nome is q = exp(log_q) < 1.
-
-    m = (theta2(q) / theta3(q))^4 = 16 q (sum_{n>=0} q^(n(n+1)) / theta3)^4
-    (DLMF 20.2.2-3, 22.2.2) and K(m) = (pi / 2) theta3(q)^2 (DLMF 20.9.2),
-    theta3(q) = 1 + 2 sum_{n>=1} q^(n^2).  Both series stop once their
-    terms fall below the dtype's eps.  For small q, m underflows in the
-    dtype before the series lose accuracy.
-    """
-    log_eps = math.log(np.finfo(dtype).eps)
-    n = np.arange(int(math.sqrt(log_eps / float(log_q))) + 2, dtype=dtype)
-    theta2_reduced = np.sum(np.exp(n * (n + 1) * log_q))
-    theta3 = 1 + 2 * np.sum(np.exp(n[1:] ** 2 * log_q))
-    m = 16 * np.exp(log_q) * (theta2_reduced / theta3) ** 4
-    return m, _PI[dtype] / 2 * theta3 ** 2
 
 
 def complete_elliptic_k(m, *, dtype=np.float64):

@@ -14,12 +14,13 @@ by equal fractions of the period (4K/p for odd p, 2K/p for even p):
 In the paper the normalization constants are reciprocals of the sums of
 shifted function values at x = 0, and m~ follows from cubic sums (A1..A4)
 or the shift product A5.  Those sums cancel at small m and large p, so
-:func:`coefficients` takes every value from the nome instead: with
-q = exp(-pi K'/K) from two AGM chains, m~ = (theta2(q^p)/theta3(q^p))^4,
-K(m~) = (pi/2) theta3(q^p)^2, and the argument scale K(m) / (p K(m~))
-fixes the rest.  The paper's sums stay as a second route,
-:func:`sum_route_m_tilde`, which verify checks against the first.  For
-p = 2 every family collapses to the classical quadratic map of
+:func:`coefficients` (defined in :mod:`landen.nome`, re-exported here with
+the types that name a transformation) takes every value from the nome
+instead: with q = exp(-pi K'/K) from two AGM chains,
+m~ = (theta2(q^p)/theta3(q^p))^4, K(m~) = (pi/2) theta3(q^p)^2, and the
+argument scale K(m) / (p K(m~)) fixes the rest.  The paper's sums stay as
+a second route, :func:`sum_route_m_tilde`, which verify checks against the
+first.  For p = 2 every family collapses to the classical quadratic map of
 :mod:`landen.classic`.
 
 The shifted combination itself (signed sum or product of the p terms) is
@@ -36,22 +37,27 @@ every batched value is bit-identical to it.
 
 Numerics: the p-term side cancels for large p and small m (the
 normalizations grow like 1e5 and beyond), which in pure binary64 leaves
-identity residuals near 1e-9.  Coefficients and sums therefore run in
-extended precision (np.longdouble), sums with compensated accumulation,
-and results are rounded to float64 at the API boundary.  The nome route
-holds its relative accuracy while m~ = 16 q^p (1 + O(q^p)) stays a normal
-float64; beyond that the coefficients raise ArithmeticError.
+identity residuals near 1e-9.  The coefficients come from the nome route
+at 34 decimal digits (stdlib decimal, see landen.nome), so they do not
+depend on the width of np.longdouble; here each is rounded once to
+np.longdouble.  The shifted terms and their sums run in that extended
+precision, sums with compensated accumulation, and results are rounded to
+float64 at the API boundary.  The nome route holds its relative accuracy
+while m~ = 16 q^p (1 + O(q^p)) stays a normal float64; beyond that the
+coefficients raise ArithmeticError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .elliptic import _from_nome, _nome, _validate_m, complete_elliptic_k, jacobi_eval
+from .elliptic import complete_elliptic_k, jacobi_eval
+from .nome import (CN_EVEN_MIN_M, AlternatingSumDegenerateError, Family,
+                   LandenCoefficients, LandenSpec, _coefficient_set, _CoefficientSet,
+                   _sum_constant, _validate_m, coefficients)
 
 __all__ = [
     "Family",
@@ -59,6 +65,7 @@ __all__ = [
     "LandenCoefficients",
     "IdentityResidual",
     "AlternatingSumDegenerateError",
+    "CN_EVEN_MIN_M",
     "coefficients",
     "transform_rhs",
     "verify_identity",
@@ -69,57 +76,6 @@ __all__ = [
 ]
 
 _LD = np.dtype(np.longdouble)
-
-# Below this parameter the alternating sum behind the even cn family
-# underflows toward zero (every dn tends to 1) and its reciprocal is
-# noise; the operation refuses rather than fabricate a value.
-CN_EVEN_MIN_M = 1e-8
-
-# The nome route's own limit: m~ = 16 q^p (1 + O(q^p)) must stay a normal
-# float64, which holds up to p = 141 at m = 0.1.
-_TINY = float(np.finfo(np.float64).tiny)
-
-
-class Family(str, Enum):
-    DN = "dn"
-    CN = "cn"
-    SN = "sn"
-
-
-class AlternatingSumDegenerateError(ValueError):
-    """Alternating-sum normalization degenerate (even cn family, m -> 0)."""
-
-
-@dataclass(frozen=True)
-class LandenSpec:
-    """Transformation selector: function family and term count p >= 2."""
-
-    family: Family
-    p: int
-
-    def __post_init__(self):
-        if not isinstance(self.p, (int, np.integer)) or self.p < 2:
-            raise ValueError(f"term count p must be an integer >= 2, got {self.p!r}")
-        object.__setattr__(self, "family", Family(self.family))
-
-    @property
-    def odd(self) -> bool:
-        return self.p % 2 == 1
-
-
-@dataclass(frozen=True)
-class LandenCoefficients:
-    """Normalization, cubic-sum/product constant, transformed parameter,
-    and the multiplier applied to x inside the right-hand side.
-
-    `a_sum` is None for the odd sn family, whose parameter map
-    m~ = m a1^2 / a3^2 involves no cubic sum or product constant.
-    """
-
-    alpha: float
-    a_sum: float | None
-    m_tilde: float
-    arg_scale: float
 
 
 @dataclass(frozen=True)
@@ -143,109 +99,37 @@ def _csum(terms):
     return acc + comp
 
 
-@dataclass(frozen=True)
-class _Raw:
-    """Coefficient set in working precision, plus the shift geometry and
-    the quarter period K(m~) of the single-function side."""
+def _raw_coefficients(spec, m):
+    """The coefficients of nome._coefficient_set at m in np.longdouble, the
+    working precision of the p-term evaluations.  Raises what that raises.
 
-    alpha: object
-    a_sum: object
-    m_tilde: object
-    arg_scale: object
-    step: object
-    big_k_tilde: object
-
-
-def _shift_step(big_k, p, odd, dtype):
-    width = dtype.type(4) if odd else dtype.type(2)
-    return width * big_k / dtype.type(p)
-
-
-def _nome_part(p, m, dtype=_LD):
-    """(m~, K(m~), K(m)) for 0 < m < 1: the part of the coefficients that
-    every family at term count p shares.
-
-    q~ = q(m)^p gives m~ and K(m~) (elliptic._from_nome); K(m) comes from
-    the AGM chain of m that gives q.
+    m~, K(m~), the argument scale and alpha are each rounded once from 34
+    decimal digits.  The sum constant is solved from the family's m~
+    formula with the rounded m~ and alpha instead, so that the paper's
+    combinations of them (the sine-Gordon constant C, the even-sn product
+    side) reproduce m~ to the last bit of np.longdouble.
     """
-    log_q, big_k = _nome(m, dtype)
-    m_tilde, big_k_tilde = _from_nome(p * log_q, dtype)
-    return m_tilde, big_k_tilde, big_k
+    exact = _coefficient_set(spec, m)
+    raw = {name: None if value is None else _LD.type(str(value))
+           for name, value in vars(exact).items()}
+    if 0 < raw["m_tilde"] < 1 and raw["a_sum"] is not None:
+        raw["a_sum"] = _sum_constant(spec.family, spec.p, _LD.type(m), raw["m_tilde"],
+                                     raw["alpha"], fourth_root=lambda x: x ** _LD.type(0.25))
+    return _CoefficientSet(**raw)
 
 
-def _raw_coefficients(spec, m, dtype=_LD, nome=None):
-    """Coefficients of one family at m from the nome, in working precision.
+def _shift_step(p, m):
+    """The shift between neighbouring terms, 4K/p for odd p and 2K/p for
+    even p, in np.longdouble; inf at the scalar m = 1.
 
-    For 0 < m < 1: m~, K(m~) and K(m) come from _nome_part (or from
-    `nome`, its value computed once for all families at this p and m),
-    s = K(m) / (p K(m~)) is the argument scale of every family, alpha is s,
-    s sqrt(m/m~) (odd cn and sn) or s / sqrt(m~) (even cn), and a_sum
-    solves that family's m~ formula.  m~ below float64's smallest normal
-    value (16 q^p underflows), or a coefficient that is not finite, raises
-    ArithmeticError.
+    K is jacobi_eval's own K(m), so the p shifts add up to exactly the
+    period the kernel folds by.  Shifts of the exact K would miss it by the
+    kernel's rounding of K, and the cancelling sums (odd cn at small m~)
+    show it.  An array m gives, element by element, the scalar value.
     """
-    m = _validate_m(m)
-    family, p, odd = spec.family, spec.p, spec.odd
-    one = dtype.type(1)
-
-    if family is Family.CN and not odd and m < CN_EVEN_MIN_M:
-        raise AlternatingSumDegenerateError(
-            f"alternating-sum degenerate: for m = {m!r} < {CN_EVEN_MIN_M} every dn "
-            "tends to 1 and the alternating normalization underflows")
-
-    if m == 1.0:
-        # Hyperbolic limit: only the unshifted term survives (all shifted
-        # arguments run off to infinity where sech vanishes, tanh -> 1).
-        a_sum = None if (family is Family.SN and odd) else 1.0
-        return _Raw(one, a_sum, one, one, math.inf, math.inf)
-
-    if m == 0.0:
-        big_k = complete_elliptic_k(m, dtype=dtype)
-        step = _shift_step(big_k, p, odd, dtype)
-        inv_p = one / dtype.type(p)
-        if family is Family.DN:
-            return _Raw(inv_p, dtype.type(p), dtype.type(0), inv_p, step, big_k)
-        if family is Family.SN and not odd:
-            a5 = dtype.type(p) / dtype.type(2) ** (p - 1)
-            return _Raw(inv_p, a5, dtype.type(0), inv_p, step, big_k)
-        if family is Family.SN:
-            # sum of equally spaced cosines vanishes, so a3 diverges; the
-            # parameter map still has the clean limit m~ = 0 and the inner
-            # scale a1 -> 1/p.
-            return _Raw(math.inf, None, dtype.type(0), inv_p, step, big_k)
-        # odd cn: normalization diverges like the odd sn case and the inner
-        # scale b = a3 sqrt(m~/m) has no closed limit worth fabricating.
-        shifts = step * np.arange(p, dtype=dtype)
-        a3_cubes = _csum(list(jacobi_eval(shifts, m, dtype=dtype).cn ** 3))
-        return _Raw(math.inf, a3_cubes, dtype.type(0), math.nan, step, big_k)
-
-    m_tilde, big_k_tilde, big_k = nome if nome is not None else _nome_part(p, m, dtype)
-    if not m_tilde >= _TINY:
-        raise ArithmeticError(
-            f"{family.value} p = {p} is beyond the nome route at m = {m!r}: "
-            f"m~ = 16 q^p = {float(m_tilde)!r} is below the smallest normal "
-            f"float64 {_TINY!r}")
-    two, md = dtype.type(2), dtype.type(m)
-    s = big_k / (dtype.type(p) * big_k_tilde)
-    if family is Family.DN:
-        alpha = s
-        a_sum = (m_tilde - (md - two) * alpha ** 2) / (two * alpha ** 3)
-    elif family is Family.CN and odd:
-        alpha = s * np.sqrt(md / m_tilde)
-        a_sum = (md / m_tilde - (one - two * md) * alpha ** 2) / (two * md * alpha ** 3)
-    elif family is Family.CN:
-        alpha = s / np.sqrt(m_tilde)
-        a_sum = (one / m_tilde - (md - two) * alpha ** 2) / (two * alpha ** 3)
-    elif odd:  # sn, p odd: m~ = m a1^2 / a3^2 involves no sum constant
-        alpha, a_sum = s * np.sqrt(md / m_tilde), None
-    else:  # sn, p even: m~ = m^p a2^4 A5^4
-        alpha = s
-        a_sum = (m_tilde / (md ** p * alpha ** 4)) ** dtype.type(0.25)
-    if not (np.isfinite(alpha) and np.isfinite(s) and (a_sum is None or np.isfinite(a_sum))):
-        raise ArithmeticError(
-            f"{family.value} p = {p} coefficients are not finite at m = {m!r}: "
-            f"alpha = {float(alpha)!r}, arg_scale = {float(s)!r}")
-    return _Raw(alpha, a_sum, m_tilde, s, _shift_step(big_k, p, odd, dtype), big_k_tilde)
+    if np.ndim(m) == 0 and m == 1.0:
+        return math.inf
+    return _LD.type(4 if p % 2 else 2) * complete_elliptic_k(m, dtype=_LD) / _LD.type(p)
 
 
 def sum_route_m_tilde(spec: LandenSpec, m) -> float:
@@ -272,7 +156,7 @@ def _sum_routes(p, ms, families):
     odd = p % 2 == 1
     ms = np.asarray(ms, dtype=np.float64)
     one, two, md = _LD.type(1), _LD.type(2), _LD.type(ms)
-    step = _shift_step(complete_elliptic_k(ms, dtype=_LD), p, odd, _LD)
+    step = _shift_step(p, ms)
     sn, cn, dn = jacobi_eval(np.arange(p, dtype=_LD)[:, None] * step, ms, dtype=_LD)
 
     routes = {}
@@ -296,31 +180,6 @@ def _sum_routes(p, ms, families):
             m_tilde = md ** p * a2 ** 4 * np.prod(sn[1:], axis=0) ** 4
         routes[family] = [float(value) for value in m_tilde]
     return routes
-
-
-def coefficients(spec: LandenSpec, m) -> LandenCoefficients:
-    """Normalization alpha, constant A (or A5), transformed parameter m~,
-    and argument scale for one family at parameter m.
-
-    For 0 < m < 1 every value comes from the nome q of m and two AGM
-    chains: m~ = (theta2(q^p) / theta3(q^p))^4, K(m~) = (pi/2) theta3^2,
-    the argument scale s = K(m) / (p K(m~)), alpha from s, and the sum
-    constant from the family's m~ formula solved for it.  The paper's
-    shifted sums are not evaluated here; :func:`sum_route_m_tilde` keeps
-    them as verify's second route.
-
-    m = 0 and m = 1 return the analytic limits (the quarter period
-    diverges at m = 1; several normalizations diverge at m = 0).  The even
-    cn family raises AlternatingSumDegenerateError below ``CN_EVEN_MIN_M``.
-    A cell past the nome route's range, where m~ = 16 q^p underflows
-    float64's smallest normal value (about p = 140 at m = 0.1), raises
-    ArithmeticError.
-    """
-    raw = _raw_coefficients(spec, m)
-    a_sum = None if raw.a_sum is None else float(raw.a_sum)
-    return LandenCoefficients(alpha=float(raw.alpha), a_sum=a_sum,
-                              m_tilde=float(raw.m_tilde),
-                              arg_scale=float(raw.arg_scale))
 
 
 def _shifted_eval(args, step, p, m):
@@ -388,8 +247,9 @@ def _superpose(spec, step, m, args, derivative=False):
 
 
 def _check_evaluable(raw, spec, m):
+    # at m = 1 the shift step diverges with K(m)
     if not (np.isfinite(float(raw.alpha)) and np.isfinite(float(raw.arg_scale))
-            and np.isfinite(float(raw.step))):
+            and m < 1.0):
         raise ValueError(
             f"right-hand side is not evaluable at m = {m!r} for {spec.family.value} "
             f"p = {spec.p}: coefficients degenerate at this boundary")
@@ -404,7 +264,8 @@ def _normalised(raw, spec, combo):
 
 def _rhs_from_raw(raw, spec, m, x):
     _check_evaluable(raw, spec, m)
-    combo = _superpose(spec, raw.step, m, raw.arg_scale * np.asarray(x, dtype=_LD))
+    combo = _superpose(spec, _shift_step(spec.p, m), m,
+                       raw.arg_scale * np.asarray(x, dtype=_LD))
     return _normalised(raw, spec, combo)
 
 
@@ -448,18 +309,16 @@ def _identity_residuals(p, ms, grid_points, families):
     """verify_identity for `families` at term count p and every m of ms
     (0 <= m < 1, validated), with the nome m~ of each m.
 
-    Returns ({family: [IdentityResidual per m]}, [m~ per m]).  The nome
-    part is computed once per m.  The arg scale s, the shift step and m~
-    depend on (p, m) alone, so all families share one grid per period
-    width (dn's [0, 2 K~], and cn's and sn's [0, 4 K~]).  One jacobi_eval
-    over (p, m, grid, x) gives every right-hand side and one over (m,
-    grid, x) at the m~ values every left-hand side; each residual is
-    bit-identical to the cell's own scalar-m evaluation.
+    Returns ({family: [IdentityResidual per m]}, [m~ per m]).  The arg
+    scale s, the shift step and m~ depend on (p, m) alone, so all families
+    share one grid per period width (dn's [0, 2 K~], and cn's and sn's
+    [0, 4 K~]).  One jacobi_eval over (p, m, grid, x) gives every
+    right-hand side and one over (m, grid, x) at the m~ values every
+    left-hand side; each residual is bit-identical to the cell's own
+    scalar-m evaluation.
     """
     specs = [LandenSpec(family, p) for family in families]
-    nomes = [_nome_part(p, m) if 0.0 < m < 1.0 else None for m in ms]
-    raws = {spec: [_raw_coefficients(spec, m, nome=nome) for m, nome in zip(ms, nomes)]
-            for spec in specs}
+    raws = {spec: [_raw_coefficients(spec, m) for m in ms] for spec in specs}
     for spec in specs:
         for m, raw in zip(ms, raws[spec]):
             _check_evaluable(raw, spec, m)
@@ -475,7 +334,7 @@ def _identity_residuals(p, ms, grid_points, families):
         return np.array(values).reshape(-1, 1, 1)
 
     scale = per_m([raw.arg_scale for raw in shared]).astype(_LD)
-    step = per_m([raw.step for raw in shared]).astype(_LD)
+    step = _shift_step(p, per_m(ms))
     rhs_terms = _shifted_eval(scale * xs, step, p, per_m(ms))
     lhs = jacobi_eval(xs, per_m(m_tildes), dtype=_LD)
 

@@ -42,8 +42,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .elliptic import _PI, _validate_m
-from .general import Family, LandenSpec, _raw_coefficients, _superpose
+from .elliptic import _PI
+from .general import Family, LandenSpec, _raw_coefficients, _shift_step, _superpose
+from .nome import _validate_m
 
 __all__ = [
     "SolutionKind",
@@ -139,6 +140,12 @@ class SolutionFamily:
     def _raw(self):
         """The family's coefficients at m, built once per solution."""
         return _raw_coefficients(self.spec, self.m)
+
+    @cached_property
+    def _step(self):
+        """The shift between the p terms (general._shift_step), built once
+        per solution."""
+        return _shift_step(self.p, self.m)
 
     @property
     def m_tilde(self) -> float:
@@ -248,7 +255,7 @@ def _psi_rows(fams, xs):
 
         args = per_solution(inners).astype(_LD) * np.stack([xs[j] for j in batch])
         combo, slope = _superpose(fams[0].spec,
-                                  per_solution([fams[j]._raw.step for j in batch]),
+                                  per_solution([fams[j]._step for j in batch]),
                                   per_solution([fams[j].m for j in batch]),
                                   args, derivative=True)
         for i, j in enumerate(batch):

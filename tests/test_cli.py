@@ -66,6 +66,19 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "--fn", "sn", "--m", "0.5")
         assert code == 2 and err
 
+    def test_quarter_period_matches_mpmath(self, capsys):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(13)
+        ms = [0.0, 1e-300, 0.5, 0.9999, 1 - 1e-12, 1 - 2 ** -53]
+        ms += [float(m) for m in rng.uniform(0.0, 1.0, 40)]
+        ms += [float(m) for m in 10.0 ** rng.uniform(-16.0, 0.0, 20)]
+        ms += [float(m) for m in 1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 20)]
+        for m in ms:
+            code, out, _ = run_cli(capsys, "eval", "--fn", "K", "--m", repr(m))
+            with mpmath.workdps(50):
+                want = float(mpmath.ellipk(m))
+            assert code == 0 and out == f"{want:.15g}\n", m
+
 
 class TestCoeffs:
     def test_reference_value(self, capsys):
@@ -472,6 +485,29 @@ def test_sum_route_records(tmp_path):
     held = [r for r in routes if "flagged" not in r]
     assert len(held) == 3 * len(cells) - len(SUMS_CANCEL_DN_CELLS)
     assert all(r["pass"] and r["max_abs"] <= r["tol"] == 1e-12 for r in held)
+
+
+# argv of landen commands with whether each loads numpy; None imports the
+# package alone
+NUMPY_USE = [(None, False),
+             (["coeffs", "--family", "dn", "--p", "7", "--m", "0.1"], False),
+             (["coeffs", "--family", "cn", "--p", "4", "--m", "1e-9"], False),
+             (["table", "--format", "full"], False),
+             (["table", "--m-list", "0,0.5,1"], False),
+             (["eval", "--fn", "K", "--m", "0.5"], False),
+             (["eval", "--fn", "sn", "--x", "0.3", "--m", "0.5"], True)]
+
+
+@pytest.mark.parametrize("argv,loads_numpy", NUMPY_USE)
+def test_coefficient_commands_load_no_numpy(argv, loads_numpy):
+    probe = ("import sys\nimport landen\n"
+             "if sys.argv[1:]:\n    from landen.cli import main\n    main(sys.argv[1:])\n"
+             "print('numpy' in sys.modules, file=sys.stderr)\n")
+    result = subprocess.run([sys.executable, "-c", probe, *(argv or [])],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert (result.stdout != "") == (argv is not None)
+    assert result.stderr == f"{loads_numpy}\n"
 
 
 def test_module_entry_point():

@@ -49,6 +49,12 @@ class TestCoefficients:
         co = coefficients(spec(Family.CN, 3), 0.0)
         assert co.alpha == np.inf and np.isnan(co.arg_scale)
 
+    def test_odd_cn_cubic_sum_exact_at_zero(self):
+        # sum_i cos^3(2 pi i/p) = 3/4 at p = 3 and exactly 0 for odd p >= 5,
+        # not the rounding residue of the p cubes
+        for p in range(3, 16, 2):
+            assert coefficients(spec(Family.CN, p), 0.0).a_sum == (0.75 if p == 3 else 0.0)
+
     def test_alpha_approaches_inverse_p(self):
         co = coefficients(spec(Family.DN, 5), 1e-9)
         assert_allclose(co.alpha, 0.2, rtol=1e-7)
@@ -178,6 +184,15 @@ class TestNomeRoute:
                 alpha = s * np.sqrt(m / mt)
             assert abs(co.alpha - alpha) <= 1e-12 * alpha, (p, co.alpha, alpha)
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_correctly_rounded(self, nome_route, family):
+        # one rounding from 34 decimal digits: m~ and the argument scale are
+        # the 50-digit values rounded to float64, to the last bit
+        for p in range(2, 13):
+            for m in (1e-6, 1e-3, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 0.9999):
+                co = coefficients(spec(family, p), m)
+                assert (co.m_tilde, co.arg_scale) == nome_route(p, m), (p, m)
+
     def test_no_jacobi_eval_inside(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("jacobi_eval called on the coefficient path")
@@ -254,7 +269,7 @@ def rhs_per_term(s, m, x):
     raw = _raw_coefficients(s, m)
     x = np.asarray(x, dtype=LD)
     args = raw.arg_scale * x
-    shifts = raw.step * np.arange(s.p, dtype=LD)
+    shifts = general._shift_step(s.p, m) * np.arange(s.p, dtype=LD)
     triples = [jacobi_eval(args + shifts[i], m, dtype=LD) for i in range(s.p)]
     if s.family is Family.SN and not s.odd:
         prod = np.ones_like(x)

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from landen.elliptic import _PI, jacobi_eval
 from landen.general import (AlternatingSumDegenerateError, Family, LandenSpec, _csum,
-                            coefficients)
+                            _shift_step, coefficients)
 from landen.sine_gordon import (Branch, FirstIntegralValue, NoClosedFormError,
                                 NotMeasurableError, SignConvention, SolutionFamily, SolutionKind,
                                 _pieces, _psi_and_derivative, _psi_rows, _reconstruct_phi,
@@ -117,7 +117,7 @@ def psi_per_term(fam, x):
     shifted term, summed and multiplied in term order: the reference for
     the broadcast evaluation."""
     prefactor, inner = _pieces(fam)
-    shifts = fam._raw.step * np.arange(fam.p, dtype=LD)
+    shifts = _shift_step(fam.p, fam.m) * np.arange(fam.p, dtype=LD)
     x = np.asarray(x, dtype=LD)
     args = inner * x
     triples = [jacobi_eval(args + shifts[i], fam.m, dtype=LD)
