@@ -9,7 +9,7 @@ Run:  python demos/04_parameter_table.py
 
 from landen import (Family, LandenSpec, a5_product, coefficients,
                     m_tilde_closed_p3, m_tilde_closed_p4)
-from landen.cli import TABLE_M_DEFAULT, format_sig4
+from landen.commands import TABLE_M_DEFAULT, format_sig4
 
 print("m~ as a function of m and p (4 significant figures):")
 print("      m " + "".join(f"  {('p=' + str(p)):>10}" for p in range(2, 8)))

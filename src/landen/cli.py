@@ -1,31 +1,34 @@
-"""Command-line front end.
+"""The commands that evaluate the layers: ``verify`` and ``sg-check``.
 
-Subcommands: ``eval`` (single function values), ``coeffs`` (transformation
-coefficients as JSON), ``table`` (the transformed-parameter table as CSV),
-``verify`` (residual suites with a JSON report), ``sg-check`` (field
-equation route for one superposition).
-
-Exit codes: 0 pass, 1 verification failure, 2 degenerate input or domain
-error.  Output is deterministic: identical invocations produce identical
-bytes.
-
-Each command imports the layers it uses when it runs.  ``coeffs``,
-``table`` and ``eval --fn K`` read only :mod:`landen.nome` and load no
-numpy; ``eval --fn sn|cn|dn``, ``verify`` and ``sg-check`` load numpy with
-the evaluation layers.
+Importing this module loads numpy and every layer, so that whatever wraps
+the layers' functions after ``import landen.cli`` (a profiler, the
+benchmark's tracer) sees every call its :func:`main` makes.  ``main`` runs
+any command, with the parser and the exit codes of :mod:`landen.commands`.
+That module is the entry point of ``landen`` and ``python -m landen``, and
+it comes here only for ``verify`` and ``sg-check``, so ``coeffs``,
+``table`` and ``eval --fn K`` run there without numpy.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import sys
 
+import numpy as np
+
 from . import __version__
+from .classic import _classic_sides, classic_dn_two_term, classic_m_tilde
+from .commands import _emit, _json_doc, build_parser, run
+# main looks the commands up in this module's namespace
+from .commands import cmd_coeffs, cmd_eval, cmd_table  # noqa: F401
+from .elliptic import complete_elliptic_k
+from .general import _identity_residuals, _sum_routes
+from .nome import AlternatingSumDegenerateError, Family
+from .sine_gordon import (NoClosedFormError, NotMeasurableError, SolutionFamily,
+                          classify, closed_form_c, default_samples, first_integrals,
+                          ode_residual, solution_kind)
 
 M_GRID = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
-TABLE_M_DEFAULT = (0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 0.9999, 0.99999, 1.0)
 
 # verify's second route for m~: the paper's shifted sums must agree with
 # the nome route to this relative error, or the cell is flagged with
@@ -35,104 +38,9 @@ SUMS_CANCELLED = ("the shifted sums cancel: m~ misses the nome route by more tha
                   f"{SUM_ROUTE_RTOL:g} relative")
 
 
-def format_sig4(value: float) -> str:
-    """Leading-dot mantissa with 4 significant digits, e.g. '.2944e-1'.
-
-    0 and 1 print bare; an exponent of zero is omitted ('.1111'); a
-    negative value prints with a leading minus ('-.5000').
-    """
-    if value == 0.0:
-        return "0"
-    if value < 0.0:
-        return "-" + format_sig4(-value)
-    if value == 1.0:
-        return "1"
-    exp = math.floor(math.log10(abs(value))) + 1
-    mant = value / 10.0 ** exp
-    mant = round(mant, 4)
-    if mant >= 1.0:
-        mant /= 10.0
-        exp += 1
-    body = f"{mant:.4f}"[1:]
-    return body if exp == 0 else f"{body}e{exp}"
-
-
-def _format_value(value: float, fmt: str) -> str:
-    return format_sig4(value) if fmt == "paper" else repr(float(value))
-
-
-def _emit(text: str, out: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if out:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json_doc(obj) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False)
-
-
-# ---------------------------------------------------------------- commands
-
-def cmd_eval(args) -> int:
-    if args.fn == "K":
-        from .nome import quarter_period
-        value = quarter_period(args.m)
-    else:
-        if args.x is None:
-            raise ValueError(f"--x is required for --fn {args.fn}")
-        from .elliptic import jacobi_eval
-        triple = jacobi_eval(args.x, args.m)
-        value = float(getattr(triple, args.fn))
-    _emit(f"{value:.15g}", args.out)
-    return 0
-
-
-def cmd_coeffs(args) -> int:
-    from .nome import AlternatingSumDegenerateError, Family, LandenSpec, coefficients
-    spec = LandenSpec(Family(args.family), args.p)
-    try:
-        doc = vars(coefficients(spec, args.m))
-    except AlternatingSumDegenerateError as exc:
-        doc = {"status": "Degenerate", "reason": str(exc)}
-    else:
-        # the limits at m = 0 include inf and nan, which strict JSON cannot carry
-        limits = ", ".join(f"{name} = {value!r}" for name, value in doc.items()
-                           if value is not None and not math.isfinite(value))
-        if limits:
-            doc = {"status": "Degenerate", "reason": f"{args.family} p = {args.p} at m = "
-                   f"{args.m!r} has non-finite coefficients: {limits}"}
-    _emit(_json_doc(doc), args.out)
-    return 2 if "status" in doc else 0
-
-
-def cmd_table(args) -> int:
-    from .nome import Family, LandenSpec, coefficients
-    if not (2 <= args.p_min <= args.p_max):
-        raise ValueError(f"need 2 <= p-min <= p-max, got {args.p_min}..{args.p_max}")
-    ps = list(range(args.p_min, args.p_max + 1))
-    ms = args.m_list if args.m_list is not None else list(TABLE_M_DEFAULT)
-    lines = ["m," + ",".join(f"p{p}" for p in ps)]
-    for m in ms:
-        row = [f"{m:g}"]
-        for p in ps:
-            m_tilde = coefficients(LandenSpec(Family.DN, p), m).m_tilde
-            row.append(_format_value(m_tilde, args.format))
-        lines.append(",".join(row))
-    _emit("\n".join(lines), args.out)
-    return 0
-
-
 def _classic_records(grid: int, tol: float):
     """classic-* records of all of M_GRID from one batch; each grid spans a
     period of its left side, 4 K(m~) for sn and cn and 2 K(m~) for dn."""
-    import numpy as np
-
-    from .classic import _classic_sides, classic_dn_two_term, classic_m_tilde
-    from .elliptic import complete_elliptic_k
     m = np.array(M_GRID)
     big_k = complete_elliptic_k(classic_m_tilde(m))
     x = np.linspace(0.0, np.stack([4.0 * big_k, 2.0 * big_k], axis=-1), grid, axis=-1)
@@ -158,8 +66,6 @@ def _family_records(grid: int, tol: float):
     Each p is one batch over all of M_GRID and the three families: three
     jacobi_eval calls (right-hand sides, left-hand sides, shift points).
     """
-    from .general import _identity_residuals, _sum_routes
-    from .nome import Family
     records = []
     families = tuple(Family)
     for p in range(2, 8):
@@ -193,7 +99,6 @@ def _first_integral_route(fam):
     closed-form C or None, classify(C), general m~).  NotMeasurableError
     passes through.
     """
-    from .sine_gordon import NotMeasurableError
     route = _first_integral_routes([fam])[0]
     if isinstance(route, NotMeasurableError):
         raise route
@@ -203,8 +108,6 @@ def _first_integral_route(fam):
 def _first_integral_routes(fams):
     """_first_integral_route of solutions of one kind and p, from one
     evaluation; an entry is the NotMeasurableError where that raises."""
-    from .sine_gordon import (NoClosedFormError, NotMeasurableError, classify,
-                              closed_form_c, default_samples, first_integrals)
     routes = []
     for fam, value in zip(fams, first_integrals(fams, [default_samples(fam) for fam in fams])):
         if isinstance(value, NotMeasurableError):
@@ -219,8 +122,6 @@ def _first_integral_routes(fams):
 
 
 def _sine_gordon_records(tol: float):
-    from .nome import Family
-    from .sine_gordon import NotMeasurableError, SolutionFamily, solution_kind
     records = []
     for p in range(2, 8):
         fams = {family: [SolutionFamily(solution_kind(family, p), p, m) for m in M_GRID]
@@ -278,8 +179,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sg_check(args) -> int:
-    from .nome import AlternatingSumDegenerateError
-    from .sine_gordon import NotMeasurableError, SolutionFamily, ode_residual, solution_kind
     _check_tol(args.tol)
     kind = solution_kind(args.family, args.p)
     try:
@@ -306,73 +205,10 @@ def cmd_sg_check(args) -> int:
     return 0 if ok else 1
 
 
-# ----------------------------------------------------------------- parser
-
-def _parse_m_list(text: str):
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad m list {text!r}: {exc}")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="landen",
-        description="Jacobi elliptic functions and multi-term modulus "
-                    "transformations: evaluation and verification tools.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="evaluate sn, cn, dn or K")
-    p_eval.add_argument("--fn", required=True, choices=("sn", "cn", "dn", "K"))
-    p_eval.add_argument("--x", type=float, default=None)
-    p_eval.add_argument("--m", type=float, required=True)
-    p_eval.add_argument("--out", default=None)
-    p_eval.set_defaults(handler=cmd_eval)
-
-    p_coeffs = sub.add_parser("coeffs", help="transformation coefficients as JSON")
-    p_coeffs.add_argument("--family", required=True, choices=("dn", "cn", "sn"))
-    p_coeffs.add_argument("--p", type=int, required=True)
-    p_coeffs.add_argument("--m", type=float, required=True)
-    p_coeffs.add_argument("--out", default=None)
-    p_coeffs.set_defaults(handler=cmd_coeffs)
-
-    p_table = sub.add_parser("table", help="transformed-parameter table as CSV")
-    p_table.add_argument("--p-min", type=int, default=2)
-    p_table.add_argument("--p-max", type=int, default=7)
-    p_table.add_argument("--m-list", type=_parse_m_list, default=None)
-    p_table.add_argument("--format", choices=("paper", "full"), default="paper")
-    p_table.add_argument("--out", default=None)
-    p_table.set_defaults(handler=cmd_table)
-
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("--scope", default="all",
-                          choices=("classic", "family", "sine-gordon", "all"))
-    p_verify.add_argument("--tol", type=float, default=1e-9)
-    p_verify.add_argument("--grid", type=int, default=128)
-    p_verify.add_argument("--out", default=None)
-    p_verify.set_defaults(handler=cmd_verify)
-
-    p_sg = sub.add_parser("sg-check", help="field-equation route for one "
-                                           "superposition")
-    p_sg.add_argument("--family", required=True, choices=("dn", "cn", "sn"))
-    p_sg.add_argument("--p", type=int, required=True)
-    p_sg.add_argument("--m", type=float, required=True)
-    p_sg.add_argument("--grid", type=int, default=256)
-    p_sg.add_argument("--tol", type=float, default=1e-6)
-    p_sg.add_argument("--out", default=None)
-    p_sg.set_defaults(handler=cmd_sg_check)
-
-    return parser
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    """Run one command; the cmd_* functions are looked up here, so every
+    command, not only verify and sg-check, runs through this module."""
+    return run(build_parser().parse_args(argv), globals())
 
 
 if __name__ == "__main__":

@@ -14,14 +14,14 @@ with the standard library's ``decimal`` (the AGM with its correctly
 rounded ``sqrt``, the theta series with its correctly rounded ``exp``), so
 the float64 values it hands out are correctly rounded whatever the width
 of numpy's longdouble, and it imports no numpy: ``landen coeffs``,
-``landen table`` and ``landen eval --fn K`` run on it alone.  The
-coefficients of all three families at one (p, m) are cached together.
+``landen table`` and ``landen eval --fn K`` run on it alone.  What the
+three families share at one (p, m), m~, K(m~) and s, is cached.
 
 It also holds the types that name a transformation (Family, LandenSpec,
 LandenCoefficients) and the one m-range check, ``_validate_m``, which
 imports numpy only for an array m.  :mod:`landen.general` re-exports the
-public names and converts the Decimal coefficient set to np.longdouble for
-its p-term evaluations.
+public names and rounds m~, K(m~) and s to np.longdouble for its p-term
+evaluations.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ class LandenCoefficients:
 @dataclass(frozen=True)
 class _CoefficientSet:
     """The coefficients of one family at m and the quarter period K(m~) of
-    the single function: Decimal values here, np.longdouble in
+    the single function: Decimal values in _limit_set, np.longdouble in
     general._raw_coefficients."""
 
     alpha: object
@@ -172,16 +172,13 @@ def quarter_period(m) -> float:
 
 @functools.lru_cache(maxsize=1024)
 def _nome_route(p, m):
-    """(m~, {family: _CoefficientSet}) as Decimals for term count p and
-    0 < m < 1; the dict is None where m~ is below float64's smallest
-    normal value (16 q^p underflows), past the route's range.
+    """(m~, K(m~), s) as Decimals for term count p and 0 < m < 1: the part
+    of the coefficients that the three families share.
 
     log q^p = -p pi K'/K; m~ = 16 q^p (sum_{n>=0} q^(p n(n+1)) / theta3)^4
     and theta3 = 1 + 2 sum_{n>=1} q^(p n^2) (DLMF 20.2.2-3), each term one
     exp, the series stopped once a term falls below 1e-36.
-    s = K(m) / (p K(m~)) is the argument scale of every family, alpha is
-    s, s sqrt(m/m~) (odd cn and sn) or s / sqrt(m~) (even cn), and the sum
-    constant solves the family's m~ formula.
+    s = K(m) / (p K(m~)) is the argument scale of every family.
     """
     big_k = _big_k(m)
     with localcontext(_CTX):
@@ -197,38 +194,38 @@ def _nome_route(p, m):
             theta3 += 2 * term3
             n += 1
         m_tilde = 16 * log_qp.exp() * (theta2_reduced / theta3) ** 4
-        if m_tilde < _TINY:
-            return m_tilde, None
         big_k_tilde = _PI / 2 * theta3 * theta3
-        md, odd = Decimal(m), p % 2 == 1
-        s = big_k / (p * big_k_tilde)
-        root = (md / m_tilde).sqrt()
-        alphas = {Family.DN: s,
-                  Family.CN: s * root if odd else s / m_tilde.sqrt(),
-                  Family.SN: s * root if odd else s}
-        return m_tilde, {
-            family: _CoefficientSet(
-                alpha, _sum_constant(family, p, md, m_tilde, alpha,
-                                     fourth_root=lambda x: x.sqrt().sqrt()),
-                m_tilde, s, big_k_tilde)
-            for family, alpha in alphas.items()}
+        return m_tilde, big_k_tilde, big_k / (p * big_k_tilde)
 
 
-def _coefficient_set(spec, m):
-    """The family's coefficients at m, as Decimals: from _nome_route for
-    0 < m < 1, the analytic limits at m = 0 and m = 1.
-
-    A cell past the nome route's range, or with a coefficient that float64
-    cannot hold, raises ArithmeticError.
-    """
+def _checked_m(spec, m):
+    """m as a float in [0, 1], or ValueError; AlternatingSumDegenerateError
+    for the even cn family below CN_EVEN_MIN_M."""
     m = _validate_m(m)
-    family, p, odd = spec.family, int(spec.p), spec.odd
-
-    if family is Family.CN and not odd and m < CN_EVEN_MIN_M:
+    if spec.family is Family.CN and not spec.odd and m < CN_EVEN_MIN_M:
         raise AlternatingSumDegenerateError(
             f"alternating-sum degenerate: for m = {m!r} < {CN_EVEN_MIN_M} every dn "
             "tends to 1 and the alternating normalization underflows")
+    return m
 
+
+def _route(spec, m):
+    """_nome_route at a checked 0 < m < 1, or ArithmeticError where m~ is
+    below float64's smallest normal value (16 q^p underflows), past the
+    route's range."""
+    m_tilde, big_k_tilde, s = _nome_route(int(spec.p), m)
+    if m_tilde < _TINY:
+        raise ArithmeticError(
+            f"{spec.family.value} p = {spec.p} is beyond the nome route at m = {m!r}: "
+            f"m~ = 16 q^p = {float(m_tilde)!r} is below the smallest normal "
+            f"float64 {float(_TINY)!r}")
+    return m_tilde, big_k_tilde, s
+
+
+def _limit_set(spec, m):
+    """The family's coefficients at a checked m = 0 or m = 1, as Decimals:
+    the analytic limits."""
+    family, p, odd = spec.family, int(spec.p), spec.odd
     one, inf = Decimal(1), Decimal("Infinity")
     if m == 1.0:
         # Hyperbolic limit: only the unshifted term survives (all shifted
@@ -236,47 +233,33 @@ def _coefficient_set(spec, m):
         a_sum = None if (family is Family.SN and odd) else one
         return _CoefficientSet(one, a_sum, one, one, inf)
 
-    if m == 0.0:
-        with localcontext(_CTX):
-            big_k, inv_p, zero = _big_k(0.0), one / p, Decimal(0)
-            if family is Family.DN:
-                return _CoefficientSet(inv_p, Decimal(p), zero, inv_p, big_k)
-            if family is Family.SN and not odd:
-                return _CoefficientSet(inv_p, Decimal(p) / 2 ** (p - 1), zero, inv_p, big_k)
-        if family is Family.SN:
-            # sum of equally spaced cosines vanishes, so a3 diverges; the
-            # parameter map still has the clean limit m~ = 0 and the inner
-            # scale a1 -> 1/p.
-            return _CoefficientSet(inf, None, zero, inv_p, big_k)
-        # odd cn: the normalization diverges as for odd sn, and the inner
-        # scale b = a3 sqrt(m~/m) has no closed limit worth fabricating.
-        # The cubic sum is sum_i cos^3(2 pi i/p) = (3/4) sum_i cos(2 pi i/p)
-        # + (1/4) sum_i cos(6 pi i/p): 3/4 at p = 3 and exactly 0 for every
-        # odd p >= 5.
-        cubes = Decimal("0.75") if p == 3 else zero
-        return _CoefficientSet(inf, cubes, zero, Decimal("NaN"), big_k)
-
-    m_tilde, sets = _nome_route(p, m)
-    if sets is None:
-        raise ArithmeticError(
-            f"{family.value} p = {p} is beyond the nome route at m = {m!r}: "
-            f"m~ = 16 q^p = {float(m_tilde)!r} is below the smallest normal "
-            f"float64 {float(_TINY)!r}")
-    exact = sets[family]
-    a_sum = 0 if exact.a_sum is None else exact.a_sum
-    if not all(math.isfinite(value) for value in (exact.alpha, exact.arg_scale, a_sum)):
-        raise ArithmeticError(
-            f"{family.value} p = {p} coefficients are not finite at m = {m!r}: "
-            f"alpha = {float(exact.alpha)!r}, arg_scale = {float(exact.arg_scale)!r}")
-    return exact
+    with localcontext(_CTX):
+        big_k, inv_p, zero = _big_k(0.0), one / p, Decimal(0)
+        if family is Family.DN:
+            return _CoefficientSet(inv_p, Decimal(p), zero, inv_p, big_k)
+        if family is Family.SN and not odd:
+            return _CoefficientSet(inv_p, Decimal(p) / 2 ** (p - 1), zero, inv_p, big_k)
+    if family is Family.SN:
+        # sum of equally spaced cosines vanishes, so a3 diverges; the
+        # parameter map still has the clean limit m~ = 0 and the inner
+        # scale a1 -> 1/p.
+        return _CoefficientSet(inf, None, zero, inv_p, big_k)
+    # odd cn: the normalization diverges as for odd sn, and the inner
+    # scale b = a3 sqrt(m~/m) has no closed limit worth fabricating.
+    # The cubic sum is sum_i cos^3(2 pi i/p) = (3/4) sum_i cos(2 pi i/p)
+    # + (1/4) sum_i cos(6 pi i/p): 3/4 at p = 3 and exactly 0 for every
+    # odd p >= 5.
+    cubes = Decimal("0.75") if p == 3 else zero
+    return _CoefficientSet(inf, cubes, zero, Decimal("NaN"), big_k)
 
 
-def _sum_constant(family, p, m, m_tilde, alpha, fourth_root):
+def _sum_constant(family, p, m, m_tilde, alpha):
     """The family's sum constant solved from its m~ formula, in the
-    arithmetic of m, m_tilde and alpha (Decimal, or np.longdouble in
-    general._raw_coefficients): A1..A4 from m~ = (m - 2) a^2 + 2 a^3 A
-    and its cn forms, A5 from m~ = m^p a2^4 A5^4 for even sn, and None for
-    odd sn, whose m~ = m a1^2 / a3^2 involves no sum constant."""
+    arithmetic of m, m_tilde and alpha (Decimal in :func:`coefficients`,
+    np.longdouble in general._raw_coefficients): A1..A4 from
+    m~ = (m - 2) a^2 + 2 a^3 A and its cn forms, A5 from
+    m~ = m^p a2^4 A5^4 for even sn, and None for odd sn, whose
+    m~ = m a1^2 / a3^2 involves no sum constant."""
     odd = p % 2 == 1
     if family is Family.DN:
         return (m_tilde - (m - 2) * alpha ** 2) / (2 * alpha ** 3)
@@ -286,7 +269,16 @@ def _sum_constant(family, p, m, m_tilde, alpha, fourth_root):
         return (1 / m_tilde - (m - 2) * alpha ** 2) / (2 * alpha ** 3)
     if odd:
         return None
-    return fourth_root(m_tilde / (m ** p * alpha ** 4))
+    ratio = m_tilde / (m ** p * alpha ** 4)
+    return ratio ** type(ratio)("0.25")
+
+
+def _require_finite(spec, m, alpha, arg_scale, a_sum):
+    """ArithmeticError unless every coefficient is a finite float64."""
+    if not all(math.isfinite(value) for value in (alpha, arg_scale, a_sum or 0)):
+        raise ArithmeticError(
+            f"{spec.family.value} p = {spec.p} coefficients are not finite at m = {m!r}: "
+            f"alpha = {float(alpha)!r}, arg_scale = {float(arg_scale)!r}")
 
 
 def coefficients(spec: LandenSpec, m) -> LandenCoefficients:
@@ -309,8 +301,23 @@ def coefficients(spec: LandenSpec, m) -> LandenCoefficients:
     float64's smallest normal value (about p = 140 at m = 0.1), raises
     ArithmeticError.
     """
-    exact = _coefficient_set(spec, m)
-    return LandenCoefficients(
-        alpha=float(exact.alpha),
-        a_sum=None if exact.a_sum is None else float(exact.a_sum),
-        m_tilde=float(exact.m_tilde), arg_scale=float(exact.arg_scale))
+    m = _checked_m(spec, m)
+    if m in (0.0, 1.0):
+        limit = _limit_set(spec, m)
+        alpha, a_sum, m_tilde, s = limit.alpha, limit.a_sum, limit.m_tilde, limit.arg_scale
+    else:
+        # alpha as in general._raw_coefficients, there in np.longdouble
+        m_tilde, _, s = _route(spec, m)
+        family, md = spec.family, Decimal(m)
+        with localcontext(_CTX):
+            if family is Family.DN or (family is Family.SN and not spec.odd):
+                alpha = s
+            elif spec.odd:
+                alpha = s * (md / m_tilde).sqrt()
+            else:
+                alpha = s / m_tilde.sqrt()
+            a_sum = _sum_constant(family, spec.p, md, m_tilde, alpha)
+        _require_finite(spec, m, alpha, s, a_sum)
+    return LandenCoefficients(alpha=float(alpha),
+                              a_sum=None if a_sum is None else float(a_sum),
+                              m_tilde=float(m_tilde), arg_scale=float(s))

@@ -14,7 +14,8 @@ from numpy.testing import assert_allclose
 from landen import cli, sine_gordon
 from landen.classic import (classic_cn, classic_dn, classic_dn_two_term, classic_m_tilde,
                             classic_sn)
-from landen.cli import M_GRID, format_sig4, main
+from landen.cli import M_GRID, main
+from landen.commands import format_sig4
 from landen.elliptic import complete_elliptic_k
 from landen.general import AlternatingSumDegenerateError
 from landen.sine_gordon import C_NOT_MEASURABLE, SolutionKind
@@ -500,14 +501,26 @@ NUMPY_USE = [(None, False),
 
 @pytest.mark.parametrize("argv,loads_numpy", NUMPY_USE)
 def test_coefficient_commands_load_no_numpy(argv, loads_numpy):
+    # landen.commands.main is what `landen` and `python -m landen` run
     probe = ("import sys\nimport landen\n"
-             "if sys.argv[1:]:\n    from landen.cli import main\n    main(sys.argv[1:])\n"
+             "if sys.argv[1:]:\n    from landen.commands import main\n    main(sys.argv[1:])\n"
              "print('numpy' in sys.modules, file=sys.stderr)\n")
     result = subprocess.run([sys.executable, "-c", probe, *(argv or [])],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert (result.stdout != "") == (argv is not None)
     assert result.stderr == f"{loads_numpy}\n"
+
+
+def test_cli_module_loads_every_layer():
+    # whatever wraps the layers' functions right after `import landen.cli`
+    # must see every call of cli.main, the lazily loaded commands included
+    probe = ("import sys\nimport landen.cli\n"
+             "print(sorted(m for m in sys.modules if m.startswith('landen.')))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == str([f"landen.{name}" for name in (
+        "classic", "cli", "commands", "elliptic", "general", "nome", "sine_gordon")]) + "\n"
 
 
 def test_module_entry_point():
