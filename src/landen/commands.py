@@ -9,11 +9,12 @@ Exit codes: 0 pass, 1 verification failure, 2 degenerate input or domain
 error.  Output is deterministic: identical invocations produce identical
 bytes.
 
-This module holds the parser, the output helpers and the commands that
-read only :mod:`landen.nome`: ``coeffs``, ``table`` and ``eval --fn K``
-load no numpy (``eval --fn sn|cn|dn`` imports :mod:`landen.elliptic`).
-``verify`` and ``sg-check`` run in :mod:`landen.cli`, which loads numpy and
-every layer when it is imported; its ``main`` runs any command.
+This module holds the parser, the output helpers and the scalar commands,
+which read only :mod:`landen.nome` and load no numpy: ``coeffs``,
+``table`` and ``eval`` (K from the AGM, sn, cn and dn from the theta
+quotients of the nome route).  ``verify`` and ``sg-check`` run in
+:mod:`landen.cli`, which loads numpy and every layer when it is imported;
+its ``main`` runs any command.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 import sys
 
 from .nome import (AlternatingSumDegenerateError, Family, LandenSpec, coefficients,
-                   quarter_period)
+                   jacobi_nome, quarter_period)
 
 TABLE_M_DEFAULT = (0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 0.9999, 0.99999, 1.0)
 
@@ -81,9 +82,7 @@ def cmd_eval(args) -> int:
     else:
         if args.x is None:
             raise ValueError(f"--x is required for --fn {args.fn}")
-        from .elliptic import jacobi_eval
-        triple = jacobi_eval(args.x, args.m)
-        value = float(getattr(triple, args.fn))
+        value = dict(zip(("sn", "cn", "dn"), jacobi_nome(args.x, args.m)))[args.fn]
     _emit(f"{value:.15g}", args.out)
     return 0
 

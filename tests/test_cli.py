@@ -18,6 +18,7 @@ from landen.cli import M_GRID, main
 from landen.commands import format_sig4
 from landen.elliptic import complete_elliptic_k
 from landen.general import AlternatingSumDegenerateError
+from landen.nome import quarter_period
 from landen.sine_gordon import C_NOT_MEASURABLE, SolutionKind
 
 # the dn cells of p 2..7 x M_GRID whose samples all sit in the |psi| ~ 1
@@ -38,6 +39,30 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def eval_triple(capsys, x, m):
+    """What `landen eval` prints for sn, cn and dn at the argument text x
+    and the float m; each run must exit 0."""
+    outs = []
+    for fn in ("sn", "cn", "dn"):
+        code, out, err = run_cli(capsys, "eval", "--fn", fn, f"--x={x}", "--m", repr(m))
+        assert (code, err) == (0, ""), (fn, x, m, err)
+        outs.append(out)
+    return outs
+
+
+def reference_digits(x):
+    """mpmath digits for a value at x: 50, and one more per decimal digit
+    of |x| >= 1, which reducing x by its periods cancels."""
+    return 50 + max(0, math.ceil(math.log10(abs(x))) if x else 0)
+
+
+def mpmath_triple(mpmath, x, m):
+    """`landen eval`'s lines for sn, cn and dn at float x and m, from mpmath."""
+    with mpmath.workdps(reference_digits(x)):
+        return [f"{float(mpmath.ellipfun(fn, mpmath.mpf(x), m=mpmath.mpf(m))):.15g}\n"
+                for fn in ("sn", "cn", "dn")]
 
 
 class TestEval:
@@ -79,6 +104,66 @@ class TestEval:
             with mpmath.workdps(50):
                 want = float(mpmath.ellipk(m))
             assert code == 0 and out == f"{want:.15g}\n", m
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    def test_non_finite_argument_refused(self, capsys, x):
+        for fn in ("sn", "cn", "dn"):
+            result = run_cli(capsys, "eval", "--fn", fn, f"--x={x}", "--m", "0.5")
+            assert result == (2, "", "error: argument x must be finite\n")
+
+    @pytest.mark.parametrize("m", ["-0.5", "1.5", "nan", "inf"])
+    def test_parameter_outside_unit_interval_refused(self, capsys, m):
+        for fn in ("sn", "cn", "dn"):
+            result = run_cli(capsys, "eval", "--fn", fn, "--x", "0.5", f"--m={m}")
+            assert result == (2, "", f"error: parameter m must lie in [0, 1], got {float(m)!r}\n")
+
+    @pytest.mark.parametrize("x", ["0", "-0.0"])
+    @pytest.mark.parametrize("m", [0.0, 0.5, 1.0])
+    def test_zero_argument(self, capsys, x, m):
+        assert eval_triple(capsys, x, m) == ["0\n", "1\n", "1\n"]
+
+    @pytest.mark.parametrize("x", [1e-300, 1.3, -100.0, 1e22, 1e300])
+    def test_circular_limit(self, capsys, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(reference_digits(x)):
+            sin, cos = float(mpmath.sin(x)), float(mpmath.cos(x))
+        assert eval_triple(capsys, repr(x), 0.0) == [f"{sin:.15g}\n", f"{cos:.15g}\n", "1\n"]
+
+    @pytest.mark.parametrize("x", [1e-300, -0.5, 3.0, 20.0, -800.0, 1e300])
+    def test_hyperbolic_limit(self, capsys, x):
+        # past the float64 range tanh prints +-1 and sech 0
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(reference_digits(x)):
+            tanh, sech = float(mpmath.tanh(x)), float(mpmath.sech(x))
+        want = [f"{tanh:.15g}\n", f"{sech:.15g}\n", f"{sech:.15g}\n"]
+        assert eval_triple(capsys, repr(x), 1.0) == want
+
+    @pytest.mark.parametrize("m", [1 - 1e-13, 1 - 2 ** -53])
+    def test_clamp_band_evaluated_as_is(self, capsys, m):
+        # jacobi_eval evaluates this band at m = 1 with a ModulusClampWarning;
+        # eval takes each m as it is, and warns of nothing
+        mpmath = pytest.importorskip("mpmath")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (0.5, 10.0, -37.0, 1e10):
+                assert eval_triple(capsys, repr(x), m) == mpmath_triple(mpmath, x, m), x
+
+    def test_jacobi_matches_mpmath(self, capsys):
+        # x / K in [-8, 8] with m log-dense toward both ends, the edges of
+        # the tests above, and large x, where jacobi_eval's fold is 0.06 off
+        # at 1e15: each printed value is mpmath's rounded to 15 digits
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(14)
+        n = 300
+        low = rng.uniform(size=n) < 0.5
+        ms = np.where(low, 10 ** rng.uniform(-16, 0, n), 1 - 10 ** rng.uniform(-16, 0, n))
+        points = [(float(frac * quarter_period(m)), float(m))
+                  for frac, m in zip(rng.uniform(-8, 8, n), ms)]
+        points += [(x, m) for x in (0.75, -31.0) for m in (0.0, 1.0, 1e-300, 5e-324,
+                                                            1 - 1e-13, 1 - 2 ** -53)]
+        points += [(x, m) for x in (1e10, -1e15, 1e300) for m in (0.1, 0.5, 0.9999)]
+        for x, m in points:
+            assert eval_triple(capsys, repr(x), m) == mpmath_triple(mpmath, x, m), (x, m)
 
 
 class TestCoeffs:
@@ -496,7 +581,13 @@ NUMPY_USE = [(None, False),
              (["table", "--format", "full"], False),
              (["table", "--m-list", "0,0.5,1"], False),
              (["eval", "--fn", "K", "--m", "0.5"], False),
-             (["eval", "--fn", "sn", "--x", "0.3", "--m", "0.5"], True)]
+             (["eval", "--fn", "sn", "--x", "0.3", "--m", "0.5"], False),
+             (["eval", "--fn", "cn", "--x", "0.3", "--m", "0"], False),
+             (["eval", "--fn", "dn", "--x", "0.3", "--m", "0"], False),
+             (["eval", "--fn", "cn", "--x", "0.3", "--m", "1"], False),
+             (["eval", "--fn", "dn", "--x", "0.3", "--m", "1"], False),
+             # sg-check loads landen.cli and numpy, so the probe is live
+             (["sg-check", "--family", "dn", "--p", "2", "--m", "0.5", "--grid", "64"], True)]
 
 
 @pytest.mark.parametrize("argv,loads_numpy", NUMPY_USE)

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
-from landen import elliptic
+from landen import elliptic, nome
 from landen.elliptic import (ModulusClampWarning, complete_elliptic_k, jacobi_eval,
                              jacobi_oracle)
 
@@ -287,6 +288,39 @@ def test_against_mpmath(dtype):
     big_k = complete_elliptic_k(m, dtype=dtype)
     x = frac.astype(dtype) * big_k
     err = ellipfun_errors(x, m, jacobi_eval(x, m, dtype=dtype), mpmath)
+    limit = 16 * np.finfo(dtype).eps * (1 + np.abs(x / big_k)).astype(float)
+    worst = np.argmax(np.max(err / limit, axis=0))
+    assert np.all(err <= limit), (m[worst], frac[worst], err[:, worst] / limit[worst])
+
+
+def exact_decimal(v):
+    """A float64 or longdouble value as the Decimal it is, digit for digit."""
+    num, den = v.as_integer_ratio()
+    k = den.bit_length() - 1  # den is 2^k
+    return Decimal((int(num < 0), tuple(map(int, str(abs(num) * 5 ** k))), -k))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_against_theta_route(dtype):
+    # The second route of test_against_mpmath, with no mpmath: the theta
+    # quotients of landen.nome at 34 decimal digits, which share no
+    # arithmetic with the kernel, at the same per-point bound
+    # 16 eps (1 + |x| / K) on points drawn as there.
+    rng = np.random.default_rng(2026)
+    n, near_k = 2000, 300
+    low = rng.uniform(size=n) < 0.5
+    m = np.where(low, 10 ** rng.uniform(-6, np.log10(0.5), n),
+                 1 - 10 ** rng.uniform(-4, np.log10(0.5), n))
+    frac = rng.uniform(-8, 8, n)
+    frac[:near_k] = 1 + rng.uniform(-1e-6, 1e-6, near_k)
+    big_k = complete_elliptic_k(m, dtype=dtype)
+    x = frac.astype(dtype) * big_k
+    got = jacobi_eval(x, m, dtype=dtype)
+    err = np.zeros((3, n))
+    for i in range(n):
+        want = nome._sn_cn_dn(exact_decimal(x[i]), float(m[i]))
+        for j in range(3):
+            err[j, i] = float(abs(exact_decimal(got[j][i]) - want[j]))
     limit = 16 * np.finfo(dtype).eps * (1 + np.abs(x / big_k)).astype(float)
     worst = np.argmax(np.max(err / limit, axis=0))
     assert np.all(err <= limit), (m[worst], frac[worst], err[:, worst] / limit[worst])

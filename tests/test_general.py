@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from landen import general
+from landen import general, nome
 from landen.classic import classic_dn_two_term, classic_m_tilde
 from landen.elliptic import complete_elliptic_k, jacobi_eval
 from landen.general import (CN_EVEN_MIN_M, AlternatingSumDegenerateError, Family,
@@ -202,6 +202,16 @@ class TestNomeRoute:
             for p in range(2, 13):
                 for m in (1e-6,) + M_GRID + (1 - 1e-9,):
                     _raw_coefficients(spec(family, p), m)
+
+    def test_pi_from_gauss_legendre(self):
+        # the 34-digit route works with pi to 51 digits; jacobi_nome at a
+        # large argument takes a few hundred
+        assert str(nome._pi_digits(51)) == "3.14159265358979323846264338327950288419716939937511"
+        mpmath = pytest.importorskip("mpmath")
+        for digits in (120, 400):
+            with mpmath.workdps(digits + 20):
+                want = mpmath.nstr(mpmath.pi, digits, strip_zeros=False)
+            assert str(nome._pi_digits(digits)) == want, digits
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_beyond_the_nome_route_refused(self, nome_route, family):
