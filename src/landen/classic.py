@@ -14,7 +14,7 @@ broadcasts against u, and each element is bit for bit its scalar call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -31,13 +31,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ClassicLandenResult:
+class ClassicLandenResult(namedtuple("ClassicLandenResult", "lhs rhs m_tilde")):
     """Left side (function at m~), right side (combination at m), and m~."""
 
-    lhs: float
-    rhs: float
-    m_tilde: float
+    __slots__ = ()
 
 
 def _parameters(m):

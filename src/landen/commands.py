@@ -12,16 +12,16 @@ bytes.
 This module holds the parser, the output helpers and the scalar commands,
 which read only :mod:`landen.nome` and load no numpy: ``coeffs``,
 ``table`` and ``eval`` (K from the AGM, sn, cn and dn from the theta
-quotients of the nome route).  ``verify`` and ``sg-check`` run in
-:mod:`landen.cli`, which loads numpy and every layer when it is imported;
-its ``main`` runs any command.
+quotients of the nome route).  A scalar command loads no ``inspect``
+either, and ``json`` only where it writes JSON (``coeffs``).  ``verify``
+and ``sg-check`` run in :mod:`landen.cli`, which loads numpy and every
+layer when it is imported; its ``main`` runs any command.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 
@@ -71,6 +71,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json_doc(obj) -> str:
+    # imported here: eval and table write no JSON
+    import json
+
     return json.dumps(obj, indent=2, allow_nan=False)
 
 
@@ -90,7 +93,7 @@ def cmd_eval(args) -> int:
 def cmd_coeffs(args) -> int:
     spec = LandenSpec(Family(args.family), args.p)
     try:
-        doc = vars(coefficients(spec, args.m))
+        doc = coefficients(spec, args.m)._asdict()
     except AlternatingSumDegenerateError as exc:
         doc = {"status": "Degenerate", "reason": str(exc)}
     else:

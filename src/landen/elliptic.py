@@ -32,7 +32,7 @@ import contextvars
 import os
 import threading
 import warnings
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -74,15 +74,13 @@ class ModulusClampWarning(UserWarning):
     """Issued when a parameter inside the near-degenerate band is clamped to 1."""
 
 
-class EllipticTriple(NamedTuple):
+class EllipticTriple(namedtuple("EllipticTriple", "sn cn dn")):
     """Values of sn, cn, dn at a common argument and parameter.
 
     Fields hold scalars for scalar input and arrays for array input.
     """
 
-    sn: float
-    cn: float
-    dn: float
+    __slots__ = ()
 
 
 def _agm_chain(m, dtype):
@@ -278,7 +276,9 @@ def _landen_kernel(x, a, c, n):
             x64 = x.astype(np.float64)
         if not np.all(np.isfinite(x64)):
             raise ValueError("argument x must lie within the float64 range")
-    q = np.floor(x64 / np.float64(four_k))
+    # + 0.0 turns the quotient -0 of x = -0 into +0, so that r keeps the
+    # sign of x and sn(-0) is -0 on this branch as at m = 0 and m = 1
+    q = np.floor(x64 / np.float64(four_k)) + 0.0
     r = x - four_k * q
     upper = r >= two * big_k
     sgn = np.where(upper, -one, one)

@@ -52,7 +52,7 @@ ArithmeticError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -79,14 +79,10 @@ __all__ = [
 _LD = np.dtype(np.longdouble)
 
 
-@dataclass(frozen=True)
-class IdentityResidual:
+class IdentityResidual(namedtuple("IdentityResidual", "max_abs mean_abs grid_points x_span")):
     """Absolute residual statistics of one identity over a uniform grid."""
 
-    max_abs: float
-    mean_abs: float
-    grid_points: int
-    x_span: float
+    __slots__ = ()
 
 
 def _csum(terms):
@@ -116,7 +112,7 @@ def _raw_coefficients(spec, m):
     m = _checked_m(spec, m)
     if m in (0.0, 1.0):
         return _CoefficientSet(**{name: None if value is None else _LD.type(str(value))
-                                  for name, value in vars(_limit_set(spec, m)).items()})
+                                  for name, value in _limit_set(spec, m)._asdict().items()})
     m_tilde, big_k_tilde, s = (_LD.type(str(value)) for value in _route(spec, m))
     family, md = spec.family, _LD.type(m)
     if family is Family.DN or (family is Family.SN and not spec.odd):

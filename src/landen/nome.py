@@ -24,7 +24,11 @@ exponent of a large argument.  ``landen coeffs``, ``landen table`` and
 
 It also holds the types that name a transformation (Family, LandenSpec,
 LandenCoefficients) and the one m-range check, ``_validate_m``, which
-imports numpy only for an array m.  :mod:`landen.general` re-exports the
+imports numpy only for an array m.  The records are
+``collections.namedtuple`` subclasses, the one record idiom of the
+package: they cost no import that the interpreter has not already made,
+where a record library that loads ``inspect`` would be a sizeable share
+of a cold ``landen coeffs``.  :mod:`landen.general` re-exports the
 public names and rounds m~, K(m~) and s to np.longdouble for its p-term
 evaluations.
 """
@@ -35,7 +39,7 @@ import functools
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Context, Decimal, getcontext, localcontext
 from enum import Enum
 
@@ -86,49 +90,44 @@ class AlternatingSumDegenerateError(ValueError):
     """Alternating-sum normalization degenerate (even cn family, m -> 0)."""
 
 
-@dataclass(frozen=True)
-class LandenSpec:
+class LandenSpec(namedtuple("LandenSpec", "family p")):
     """Transformation selector: function family and term count p >= 2."""
 
-    family: Family
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.p, numbers.Integral) or self.p < 2:
-            raise ValueError(f"term count p must be an integer >= 2, got {self.p!r}")
-        object.__setattr__(self, "family", Family(self.family))
+    def __new__(cls, family, p):
+        if not isinstance(p, numbers.Integral) or p < 2:
+            raise ValueError(f"term count p must be an integer >= 2, got {p!r}")
+        return super().__new__(cls, Family(family), p)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds its copy here: check the fields as __new__ does
+        return cls(*iterable)
 
     @property
     def odd(self) -> bool:
         return self.p % 2 == 1
 
 
-@dataclass(frozen=True)
-class LandenCoefficients:
+class LandenCoefficients(namedtuple("LandenCoefficients", "alpha a_sum m_tilde arg_scale")):
     """Normalization, cubic-sum/product constant, transformed parameter,
-    and the multiplier applied to x inside the right-hand side.
+    and the multiplier applied to x inside the right-hand side, as floats.
 
     `a_sum` is None for the odd sn family, whose parameter map
     m~ = m a1^2 / a3^2 involves no cubic sum or product constant.
     """
 
-    alpha: float
-    a_sum: float | None
-    m_tilde: float
-    arg_scale: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class _CoefficientSet:
+class _CoefficientSet(namedtuple("_CoefficientSet",
+                                 "alpha a_sum m_tilde arg_scale big_k_tilde")):
     """The coefficients of one family at m and the quarter period K(m~) of
     the single function: Decimal values in _limit_set, np.longdouble in
     general._raw_coefficients."""
 
-    alpha: object
-    a_sum: object
-    m_tilde: object
-    arg_scale: object
-    big_k_tilde: object
+    __slots__ = ()
 
 
 def _validate_m(m, *, below_one=False, above_zero=False, what="parameter m"):

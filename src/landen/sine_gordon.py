@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property
 
@@ -110,23 +110,26 @@ class SignConvention(Enum):
     TRAVELING = "traveling"
 
 
-@dataclass(frozen=True)
-class SolutionFamily:
-    """One superposed solution: kind, term count p, parameter m."""
+class SolutionFamily(namedtuple("SolutionFamily", "kind p m")):
+    """One superposed solution: kind, term count p, parameter m.
 
-    kind: SolutionKind
-    p: int
-    m: float
+    It keeps an instance __dict__ (no __slots__) for its cached
+    coefficients and shift step."""
 
-    def __post_init__(self):
-        odd = _FAMILY_PARITY[self.kind][1]
-        if (self.p % 2 == 1) != odd:
+    def __new__(cls, kind, p, m):
+        odd = _FAMILY_PARITY[kind][1]
+        if (p % 2 == 1) != odd:
             raise ValueError(
-                f"{self.kind.value} requires {'odd' if odd else 'even'} "
-                f"p, got p = {self.p}")
-        if self.p < 2:
-            raise ValueError(f"p must be >= 2, got {self.p}")
-        object.__setattr__(self, "m", _validate_m(self.m))
+                f"{kind.value} requires {'odd' if odd else 'even'} "
+                f"p, got p = {p}")
+        if p < 2:
+            raise ValueError(f"p must be >= 2, got {p}")
+        return super().__new__(cls, kind, p, _validate_m(m))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds its copy here: check the fields as __new__ does
+        return cls(*iterable)
 
     @property
     def family(self) -> Family:
@@ -158,13 +161,11 @@ class SolutionFamily:
                 else SignConvention.STATIC)
 
 
-@dataclass(frozen=True)
-class FirstIntegralValue:
+class FirstIntegralValue(namedtuple("FirstIntegralValue", "c sign_convention spread",
+                                    defaults=(0.0,))):
     """Mean C over the samples and its spread (max - min; 0 for a bare C)."""
 
-    c: float
-    sign_convention: SignConvention
-    spread: float = 0.0
+    __slots__ = ()
 
 
 class Branch(Enum):
@@ -174,13 +175,11 @@ class Branch(Enum):
     NO_REAL_SOLUTION = "no-real-solution"
 
 
-@dataclass(frozen=True)
-class BranchClassification:
+class BranchClassification(namedtuple("BranchClassification", "branch m_tilde")):
     """Basic-solution branch for a first-integral value, with the implied
     transformed parameter (None when no real solution exists)."""
 
-    branch: Branch
-    m_tilde: float | None
+    __slots__ = ()
 
 
 class NoClosedFormError(ValueError):
@@ -192,10 +191,8 @@ class NotMeasurableError(ValueError):
     """Fewer than two samples are admissible (C_NOT_MEASURABLE)."""
 
 
-@dataclass(frozen=True)
-class OdeResidual:
-    max_abs: float
-    step: float
+class OdeResidual(namedtuple("OdeResidual", "max_abs step")):
+    __slots__ = ()
 
 
 def _pieces(fam: SolutionFamily):

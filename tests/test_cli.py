@@ -1,8 +1,8 @@
 """CLI behavior: output formats, exit codes, determinism, round-trips."""
 
-import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -174,6 +174,13 @@ class TestCoeffs:
         doc = json.loads(out)
         assert set(doc) == {"alpha", "a_sum", "m_tilde", "arg_scale"}
         assert_allclose(doc["m_tilde"], 0.1111, rtol=5e-4)
+
+    def test_output_bytes(self, capsys):
+        # the record's fields in their order, as the JSON object's keys
+        code, out, _ = run_cli(capsys, "coeffs", "--family", "dn", "--p", "7", "--m", "0.1")
+        assert code == 0
+        assert out == ('{\n  "alpha": 0.14664457776833426,\n  "a_sum": 6.478248391161029,\n'
+                       '  "m_tilde": 8.587160262653532e-15,\n  "arg_scale": 0.14664457776833426\n}\n')
 
     def test_sn_large_p(self, capsys):
         code, out, _ = run_cli(capsys, "coeffs", "--family", "sn", "--p", "7",
@@ -450,7 +457,7 @@ class TestSgCheck:
 
         def spread_out(fam):
             value, closed, verdict, target = route(fam)
-            wide = dataclasses.replace(value, spread=2e-6 * max(1.0, abs(value.c)))
+            wide = value._replace(spread=2e-6 * max(1.0, abs(value.c)))
             return wide, closed, verdict, target
 
         code, out, _ = run_cli(capsys, "sg-check", "--family", "dn", "--p", "3", "--m", "0.5")
@@ -601,6 +608,42 @@ def test_coefficient_commands_load_no_numpy(argv, loads_numpy):
     assert result.returncode == 0, result.stderr
     assert (result.stdout != "") == (argv is not None)
     assert result.stderr == f"{loads_numpy}\n"
+
+
+def _imports(*args):
+    """The names of the modules a `python -X importtime` child imports."""
+    result = subprocess.run([sys.executable, "-X", "importtime", *args],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return set(re.findall(r"^import time:\s+\d+ \|\s+\d+ \| +(\S+)$", result.stderr,
+                          flags=re.MULTILINE))
+
+
+@pytest.fixture(scope="module")
+def bare_imports():
+    # what site imports differs between installations; a command is held
+    # only to the modules it adds to those
+    return _imports("-c", "pass")
+
+
+# argv of landen commands with which of numpy, dataclasses, inspect and json
+# each imports: a scalar command writes JSON only in coeffs
+COLD_IMPORTS = [
+    (["coeffs", "--family", "dn", "--p", "7", "--m", "0.1"], {"json"}),
+    (["table", "--format", "full"], set()),
+    (["table", "--m-list", "0,0.5,1"], set()),
+    (["eval", "--fn", "K", "--m", "0.5"], set()),
+    (["eval", "--fn", "sn", "--x", "1.3", "--m", "0.5"], set()),
+    # numpy imports inspect, so the probe is live for all but dataclasses
+    (["sg-check", "--family", "dn", "--p", "2", "--m", "0.5", "--grid", "64"],
+     {"numpy", "inspect", "json"}),
+]
+
+
+@pytest.mark.parametrize("argv,loaded", COLD_IMPORTS)
+def test_scalar_commands_import_no_record_machinery(argv, loaded, bare_imports):
+    watched = {"numpy", "dataclasses", "inspect", "json"} - bare_imports
+    assert _imports("-m", "landen", *argv) & watched == loaded & watched
 
 
 def test_cli_module_loads_every_layer():

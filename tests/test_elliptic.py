@@ -217,6 +217,14 @@ class TestJacobiEval:
             for name in ("sn", "cn", "dn"):
                 assert np.array_equal(getattr(grid, name)[i], getattr(one, name))
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("m", (0.0, 0.5, 1.0, [0.0, 0.5, 1.0]))
+    def test_negative_zero_keeps_its_sign(self, m, dtype):
+        # sn(-0) is -0 on every branch, the kernel's as well as the limits'
+        triple = jacobi_eval(-0.0, m, dtype=dtype)
+        assert np.all(triple.sn == 0.0) and np.all(np.signbit(triple.sn))
+        assert np.all(triple.cn == 1.0) and np.all(triple.dn == 1.0)
+
     def test_large_argument_consistent_with_periodicity(self):
         m = 0.75
         big_k = complete_elliptic_k(m)

@@ -119,12 +119,27 @@ class TestCoefficients:
             assert np.all(np.diff(row) < 0)
 
     def test_domain_and_spec_validation(self):
-        with pytest.raises(ValueError):
-            LandenSpec(Family.DN, 1)
+        for p in (1, 0, -3, 2.0, 3.5, "3", None):
+            with pytest.raises(ValueError, match="integer >= 2"):
+                LandenSpec(Family.DN, p)
         with pytest.raises(ValueError):
             coefficients(spec(Family.DN, 3), -0.5)
         with pytest.raises(ValueError):
             coefficients(spec(Family.DN, 3), 1.5)
+
+    def test_spec_is_a_value(self):
+        # _identity_residuals keys a dict on specs
+        cn5 = LandenSpec("cn", 5)
+        assert cn5.family is Family.CN and cn5.p == 5 and cn5.odd
+        assert cn5 == LandenSpec(Family.CN, p=5) and hash(cn5) == hash(LandenSpec(Family.CN, 5))
+        assert cn5 != LandenSpec(Family.CN, 7) and cn5 != LandenSpec(Family.DN, 5)
+        assert {cn5: "cn5"}[LandenSpec(Family.CN, 5)] == "cn5"
+        assert repr(cn5) == "LandenSpec(family=<Family.CN: 'cn'>, p=5)"
+        with pytest.raises(AttributeError):
+            cn5.p = 7
+        assert cn5._replace(family="sn") == LandenSpec(Family.SN, 5)
+        with pytest.raises(ValueError, match="integer >= 2"):
+            cn5._replace(p=1)
 
 
 class TestTransformRhs:

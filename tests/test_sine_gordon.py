@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from landen import sine_gordon
 from landen.elliptic import _PI, jacobi_eval
 from landen.general import (AlternatingSumDegenerateError, Family, LandenSpec, _csum,
-                            _shift_step, coefficients)
+                            _raw_coefficients, _shift_step, coefficients)
 from landen.sine_gordon import (Branch, FirstIntegralValue, NoClosedFormError,
                                 NotMeasurableError, SignConvention, SolutionFamily, SolutionKind,
                                 _pieces, _psi_and_derivative, _psi_rows, _reconstruct_phi,
@@ -76,6 +77,32 @@ class TestPsi:
             SolutionFamily(SolutionKind.SN_EVEN_PROD, 5, 0.5)
         with pytest.raises(ValueError):
             SolutionFamily(SolutionKind.DN_EVEN, 4, 1.5)
+
+    def test_solution_is_a_value_built_once(self, monkeypatch):
+        built = []
+
+        def raw(spec, m):
+            built.append((spec, m))
+            return _raw_coefficients(spec, m)
+
+        monkeypatch.setattr(sine_gordon, "_raw_coefficients", raw)
+        fam = SolutionFamily(SolutionKind.DN_ODD, 3, 1)
+        assert type(fam.m) is float and fam.spec == LandenSpec(Family.DN, 3)
+        assert fam._raw is fam._raw and fam._step is fam._step
+        assert built == [(LandenSpec(Family.DN, 3), 1.0)]
+        same = SolutionFamily(SolutionKind.DN_ODD, 3, 1.0)
+        assert same == fam and hash(same) == hash(fam)
+        assert repr(fam) == "SolutionFamily(kind=<SolutionKind.DN_ODD: 'dn-odd'>, p=3, m=1.0)"
+        with pytest.raises(AttributeError):
+            fam.m = 0.5
+        assert fam._replace(m=0.5) == SolutionFamily(SolutionKind.DN_ODD, 3, 0.5)
+        with pytest.raises(ValueError, match="requires odd p"):
+            fam._replace(p=4)
+
+    def test_first_integral_value_defaults_to_no_spread(self):
+        bare = FirstIntegralValue(2.0, SignConvention.STATIC)
+        assert bare.spread == 0.0 and bare == FirstIntegralValue(2.0, SignConvention.STATIC, 0.0)
+        assert bare._replace(spread=1e-3).spread == 1e-3 and bare.spread == 0.0
 
     def test_degenerate_parameter_propagates(self):
         with pytest.raises(AlternatingSumDegenerateError):
