@@ -35,7 +35,7 @@ sn, cn, dn = jacobi_eval(xs, m)
 print(f"  sn^2 + cn^2 - 1     : {np.max(np.abs(sn ** 2 + cn ** 2 - 1)):.3e}")
 print(f"  dn^2 + m sn^2 - 1   : {np.max(np.abs(dn ** 2 + m * sn ** 2 - 1)):.3e}")
 
-print("\nFast AGM path vs slow quadrature-inversion oracle:")
+print("\nFast AGM path vs slow Carlson R_F inversion oracle:")
 worst = 0.0
 for xv in np.linspace(-2 * big_k, 2 * big_k, 9):
     a = jacobi_eval(xv, m)

@@ -326,7 +326,7 @@ def test_criterion_8_oracle_equivalence(capsys):
                         abs(jacobi_eval(big_k / 2, m).dn - (1 - m) ** 0.25))
     ok = worst <= 1e-11 and table_err <= 1e-12
     with capsys.disabled():
-        _report(8, "fast path vs quadrature-inversion oracle", ok,
+        _report(8, "fast path vs Carlson R_F inversion oracle", ok,
                 f"max disagreement {worst:.3e} (tol 1e-11), "
                 f"quarter-period table {table_err:.3e} (tol 1e-12)")
     assert worst <= 1e-11

@@ -627,6 +627,7 @@ class TestArrayM:
     @pytest.mark.parametrize("workers", (1, 2))
     @pytest.mark.parametrize("dtype", (np.float64, np.longdouble))
     def test_split_path_matches_serial_kernel(self, dtype, workers, monkeypatch):
+        # An array m runs one serial kernel pass at any size and worker count.
         splits = []
         split_eval = elliptic._split_eval
         monkeypatch.setattr(elliptic, "_split_eval",
@@ -635,7 +636,7 @@ class TestArrayM:
         ms = np.array([0.1, 0.9, 0.5, 0.0, 0.99999, 1.0])
         x = np.random.default_rng(8).uniform(-40.0, 40.0, (len(ms), 3 * elliptic._CHUNK + 11))
         got = jacobi_eval(x, ms[:, None], dtype=dtype)
-        assert splits == [x.size]
+        assert x.size >= elliptic._SPLIT_MIN and splits == []
         kernel = [serial(row, m, dtype) for row, m in zip(x, ms) if 0.0 < m < 1.0]
         want = tuple(np.stack([k[i] for k in kernel]) for i in range(3))
         regular = (ms > 0.0) & (ms < 1.0)
@@ -698,9 +699,36 @@ class TestJacobiOracle:
         with pytest.raises(ValueError):
             jacobi_oracle(1.0, -1.0)
 
+    @pytest.mark.parametrize("m", (0.0,) + M_GRID + (1.0,))
+    def test_signed_zero_matches_eval(self, m):
+        for x in (-0.0, 0.0):
+            got, want = jacobi_oracle(x, m), jacobi_eval(x, m)
+            assert got == want == (0.0, 1.0, 1.0)
+            assert np.signbit(got.sn) == np.signbit(want.sn) == np.signbit(x)
+
+    def test_against_mpmath(self):
+        # |x| <= 30 with m log-dense to 1e-8 and to 1 - 1e-8, both ends
+        # pinned; K's rounding carried through the fold sets the scale, so
+        # each point is held to 16 eps (1 + |x| / K).  40000 seeded points
+        # of this kind read at most 14 of eps (1 + |x| / K), median 0.4.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(1995)
+        n = 240
+        low = rng.uniform(size=n) < 0.5
+        m = np.where(low, 10 ** rng.uniform(-8, np.log10(0.5), n),
+                     1 - 10 ** rng.uniform(-8, np.log10(0.5), n))
+        m[:40] = 1e-8
+        m[40:80] = 1 - 1e-8
+        x = rng.uniform(-30.0, 30.0, n)
+        got = [np.array(v) for v in zip(*(jacobi_oracle(a, b) for a, b in zip(x, m)))]
+        err = ellipfun_errors(x, m, got, mpmath)
+        limit = 16 * EPS * (1 + np.abs(x) / complete_elliptic_k(m))
+        worst = np.argmax(np.max(err / limit, axis=0))
+        assert np.all(err <= limit), (m[worst], x[worst], err[:, worst] / limit[worst])
+
 
 def test_cold_import_loads_no_scipy():
-    # scipy is imported only by jacobi_oracle, on its first call; the split
+    # no module of the package imports scipy, the oracle included; the split
     # evaluation uses bare threads, not an executor or a process pool
     script = (
         "import sys\n"
@@ -711,6 +739,7 @@ def test_cold_import_loads_no_scipy():
         "from landen.elliptic import jacobi_eval, jacobi_oracle\n"
         "a, b = jacobi_oracle(0.7, 0.5), jacobi_eval(0.7, 0.5)\n"
         "assert max(abs(u - v) for u, v in zip(a, b)) < 1e-13, (a, b)\n"
+        "assert 'scipy' not in sys.modules\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     result = subprocess.run([sys.executable, "-c", script],
