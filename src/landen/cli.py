@@ -2,11 +2,11 @@
 
 Importing this module loads numpy and every layer, so that whatever wraps
 the layers' functions after ``import landen.cli`` (a profiler, the
-benchmark's tracer) sees every call its :func:`main` makes.  ``main`` runs
-any command, with the parser and the exit codes of :mod:`landen.commands`.
-That module is the entry point of ``landen`` and ``python -m landen``, and
-it comes here only for ``verify`` and ``sg-check``, so ``coeffs``,
-``table`` and ``eval --fn K`` run there without numpy.
+benchmark's tracer) sees every call its :func:`main` makes.  ``main`` is
+:func:`landen.commands.main`, the entry point of ``landen`` and
+``python -m landen``, which routes every command and comes to this module
+only for ``verify`` and ``sg-check``, so ``coeffs``, ``table`` and
+``eval`` run there without numpy.
 """
 
 from __future__ import annotations
@@ -16,11 +16,9 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, commands
 from .classic import _classic_sides, classic_dn_two_term, classic_m_tilde
-from .commands import _emit, _json_doc, build_parser, run
-# main looks the commands up in this module's namespace
-from .commands import cmd_coeffs, cmd_eval, cmd_table  # noqa: F401
+from .commands import _emit, _json_doc
 from .elliptic import complete_elliptic_k
 from .general import _identity_residuals, _sum_routes
 from .nome import AlternatingSumDegenerateError, Family
@@ -121,6 +119,13 @@ def _first_integral_routes(fams):
     return routes
 
 
+def _c_constancy(value):
+    """How far C moves along the solution: its spread relative to
+    max(1, |C|), the reading of verify's c-constancy record and of
+    sg-check's spread gate."""
+    return value.spread / max(1.0, abs(value.c))
+
+
 def _sine_gordon_records(tol: float):
     records = []
     for p in range(2, 8):
@@ -137,14 +142,13 @@ def _sine_gordon_records(tol: float):
                     continue
                 value, closed, verdict, target = route
                 c = value.c
-                scale = max(1.0, abs(c))
                 if fam.family is Family.CN:
                     violation = max(0.0, 2.0 - c)
                 else:
                     violation = max(0.0, -2.0 - c, c - 2.0)
-                checks = [("c-constancy", value.spread / scale), ("c-range", violation)]
+                checks = [("c-constancy", _c_constancy(value)), ("c-range", violation)]
                 if closed is not None:
-                    checks.append(("c-closed-form", abs(c - closed) / scale))
+                    checks.append(("c-closed-form", abs(c - closed) / max(1.0, abs(c))))
                 # absolute comparison: the implied value (C + 2) / 4 cannot
                 # resolve parameters below ~1e-16 out of a float C near -2
                 checks.append(("implied-m-tilde", abs(verdict.m_tilde - target)))
@@ -190,9 +194,7 @@ def cmd_sg_check(args) -> int:
         return 2
     implied = verdict.m_tilde
     diff = abs(implied - target) if implied is not None else math.inf
-    # the spread gate is verify's c-constancy rule
-    constant = value.spread / max(1.0, abs(value.c)) <= args.tol
-    ok = ode.max_abs <= args.tol and diff <= 1e-8 and constant
+    ok = ode.max_abs <= args.tol and diff <= 1e-8 and _c_constancy(value) <= args.tol
     doc = {"tool_version": __version__, "command": "sg-check",
            "parameters": {"family": args.family, "p": args.p, "m": args.m,
                           "grid": args.grid, "tol": args.tol},
@@ -206,9 +208,8 @@ def cmd_sg_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    """Run one command; the cmd_* functions are looked up here, so every
-    command, not only verify and sg-check, runs through this module."""
-    return run(build_parser().parse_args(argv), globals())
+    """Run one command, as :func:`landen.commands.main` does."""
+    return commands.main(argv)
 
 
 if __name__ == "__main__":

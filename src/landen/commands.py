@@ -14,8 +14,10 @@ which read only :mod:`landen.nome` and load no numpy: ``coeffs``,
 ``table`` and ``eval`` (K from the AGM, sn, cn and dn from the theta
 quotients of the nome route).  A scalar command loads no ``inspect``
 either, and ``json`` only where it writes JSON (``coeffs``).  ``verify``
-and ``sg-check`` run in :mod:`landen.cli`, which loads numpy and every
-layer when it is imported; its ``main`` runs any command.
+and ``sg-check`` are defined in :mod:`landen.cli`, which loads numpy and
+every layer when it is imported.  :func:`main` routes every command,
+imports ``landen.cli`` only for those two, and holds the one rule for
+errors.
 """
 
 from __future__ import annotations
@@ -180,19 +182,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(args, handlers) -> int:
-    """Run the parsed command: the ``cmd_*`` function of that name in the
-    namespace `handlers`.  A ValueError or ArithmeticError exits 2."""
+def main(argv=None) -> int:
+    """Run one command: its ``cmd_*`` function from this module, or from
+    :mod:`landen.cli` for ``verify`` and ``sg-check``.  A ValueError or
+    ArithmeticError exits 2."""
+    args = build_parser().parse_args(argv)
+    name = "cmd_" + args.command.replace("-", "_")
+    if args.command in _LAYER_COMMANDS:
+        from . import cli
+        handler = getattr(cli, name)
+    else:
+        handler = globals()[name]
     try:
-        return handlers["cmd_" + args.command.replace("-", "_")](args)
+        return handler(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command in _LAYER_COMMANDS:
-        from . import cli
-        return run(args, vars(cli))
-    return run(args, globals())

@@ -240,7 +240,10 @@ def jacobi_eval(x, m, *, dtype=np.float64):
         cn = np.where(circular, np.cos(x), cn)
         dn = np.where(circular, one, dn)
     if hyperbolic.any():
-        sech = one / np.cosh(x)
+        # cosh overflows past |x| ~ 710 (11357 in an 80-bit longdouble),
+        # where 1/inf = 0 is the exact limit of sech
+        with np.errstate(over="ignore"):
+            sech = one / np.cosh(x)
         sn = np.where(hyperbolic, np.tanh(x), sn)
         cn = np.where(hyperbolic, sech, cn)
         dn = np.where(hyperbolic, sech, dn)
@@ -403,7 +406,8 @@ def jacobi_oracle(x, m):
     if m == 0.0:
         return EllipticTriple(float(np.sin(x)), float(np.cos(x)), 1.0)
     if m == 1.0:
-        sech = 1.0 / np.cosh(x)
+        with np.errstate(over="ignore"):  # 1/inf = 0 past |x| ~ 710
+            sech = 1.0 / np.cosh(x)
         return EllipticTriple(float(np.tanh(x)), float(sech), float(sech))
 
     m1 = 1.0 - m

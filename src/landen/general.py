@@ -39,11 +39,13 @@ Numerics: the p-term side cancels for large p and small m (the
 normalizations grow like 1e5 and beyond), which in pure binary64 leaves
 identity residuals near 1e-9.  The coefficients come from the nome route
 at 34 decimal digits (stdlib decimal, see landen.nome), so they do not
-depend on the width of np.longdouble; here m~, K(m~) and the argument
+depend on the width of np.longdouble.  Here m~, K(m~) and the argument
 scale are each rounded once to np.longdouble, and alpha and the sum
-constant are formed from them in that precision.  The shifted terms and
-their sums run in that extended precision, sums with compensated
-accumulation, and results are rounded to float64 at the API boundary.
+constant are formed from them in that precision, by the procedure that
+:func:`coefficients` runs in Decimal (landen.nome._coefficient_set).  The
+shifted terms and their sums run in that extended precision, sums with
+compensated accumulation, and results are rounded to float64 at the API
+boundary.
 The nome route holds its relative accuracy while m~ = 16 q^p
 (1 + O(q^p)) stays a normal float64; beyond that the coefficients raise
 ArithmeticError.
@@ -58,8 +60,8 @@ import numpy as np
 
 from .elliptic import complete_elliptic_k, jacobi_eval
 from .nome import (CN_EVEN_MIN_M, AlternatingSumDegenerateError, Family,
-                   LandenCoefficients, LandenSpec, _checked_m, _CoefficientSet, _limit_set,
-                   _require_finite, _route, _sum_constant, _validate_m, coefficients)
+                   LandenCoefficients, LandenSpec, _coefficient_set, _validate_m,
+                   coefficients)
 
 __all__ = [
     "Family",
@@ -96,34 +98,18 @@ def _csum(terms):
     return acc + comp
 
 
+def _longdouble(value):
+    """np.longdouble of a float m, exactly, or of a Decimal, through its
+    digits."""
+    return _LD.type(value if isinstance(value, float) else str(value))
+
+
 def _raw_coefficients(spec, m):
     """The coefficients of :func:`coefficients` at m in np.longdouble, the
-    working precision of the p-term evaluations, with K(m~); raises what
-    that raises.
-
-    m~, K(m~) and the argument scale s are each rounded once from the
-    34-digit nome route (the limits at m = 0 and m = 1 as well).  alpha
-    and the sum constant are formed from them in np.longdouble instead:
-    alpha is s, s sqrt(m/m~) (odd cn and sn) or s / sqrt(m~) (even cn),
-    and the sum constant solves the family's m~ formula, so that the
-    paper's combinations of them (the sine-Gordon constant C, the even-sn
-    product side) reproduce m~ to the last bit of np.longdouble.
-    """
-    m = _checked_m(spec, m)
-    if m in (0.0, 1.0):
-        return _CoefficientSet(**{name: None if value is None else _LD.type(str(value))
-                                  for name, value in _limit_set(spec, m)._asdict().items()})
-    m_tilde, big_k_tilde, s = (_LD.type(str(value)) for value in _route(spec, m))
-    family, md = spec.family, _LD.type(m)
-    if family is Family.DN or (family is Family.SN and not spec.odd):
-        alpha = s
-    elif spec.odd:
-        alpha = s * np.sqrt(md / m_tilde)
-    else:
-        alpha = s / np.sqrt(m_tilde)
-    a_sum = _sum_constant(family, spec.p, md, m_tilde, alpha)
-    _require_finite(spec, m, alpha, s, a_sum)
-    return _CoefficientSet(alpha, a_sum, m_tilde, s, big_k_tilde)
+    working precision of the p-term evaluations, with K(m~): the procedure
+    of :func:`coefficients` (landen.nome._coefficient_set) run in that
+    precision.  It raises what that raises."""
+    return _coefficient_set(spec, m, _longdouble, np.sqrt)
 
 
 def _shift_step(p, m):

@@ -29,8 +29,14 @@ imports numpy only for an array m.  The records are
 package: they cost no import that the interpreter has not already made,
 where a record library that loads ``inspect`` would be a sizeable share
 of a cold ``landen coeffs``.  :mod:`landen.general` re-exports the
-public names and rounds m~, K(m~) and s to np.longdouble for its p-term
-evaluations.
+public names.
+
+One procedure, ``_coefficient_set``, turns the route into a family's
+coefficients: the m check, the limits at m = 0 and m = 1, the family's
+alpha and its sum constant.  It works in the arithmetic its caller hands
+it, a converter and a sqrt: :func:`coefficients` runs it in Decimal and
+rounds to float64, and the p-term evaluations of :mod:`landen.general`
+run it in np.longdouble.
 """
 
 from __future__ import annotations
@@ -124,8 +130,7 @@ class LandenCoefficients(namedtuple("LandenCoefficients", "alpha a_sum m_tilde a
 class _CoefficientSet(namedtuple("_CoefficientSet",
                                  "alpha a_sum m_tilde arg_scale big_k_tilde")):
     """The coefficients of one family at m and the quarter period K(m~) of
-    the single function: Decimal values in _limit_set, np.longdouble in
-    general._raw_coefficients."""
+    the single function, in the arithmetic of _coefficient_set's caller."""
 
     __slots__ = ()
 
@@ -364,30 +369,6 @@ def _nome_route(p, m):
         return m_tilde, big_k_tilde, big_k / (p * big_k_tilde)
 
 
-def _checked_m(spec, m):
-    """m as a float in [0, 1], or ValueError; AlternatingSumDegenerateError
-    for the even cn family below CN_EVEN_MIN_M."""
-    m = _validate_m(m)
-    if spec.family is Family.CN and not spec.odd and m < CN_EVEN_MIN_M:
-        raise AlternatingSumDegenerateError(
-            f"alternating-sum degenerate: for m = {m!r} < {CN_EVEN_MIN_M} every dn "
-            "tends to 1 and the alternating normalization underflows")
-    return m
-
-
-def _route(spec, m):
-    """_nome_route at a checked 0 < m < 1, or ArithmeticError where m~ is
-    below float64's smallest normal value (16 q^p underflows), past the
-    route's range."""
-    m_tilde, big_k_tilde, s = _nome_route(int(spec.p), m)
-    if m_tilde < _TINY:
-        raise ArithmeticError(
-            f"{spec.family.value} p = {spec.p} is beyond the nome route at m = {m!r}: "
-            f"m~ = 16 q^p = {float(m_tilde)!r} is below the smallest normal "
-            f"float64 {float(_TINY)!r}")
-    return m_tilde, big_k_tilde, s
-
-
 def _limit_set(spec, m):
     """The family's coefficients at a checked m = 0 or m = 1, as Decimals:
     the analytic limits."""
@@ -421,8 +402,7 @@ def _limit_set(spec, m):
 
 def _sum_constant(family, p, m, m_tilde, alpha):
     """The family's sum constant solved from its m~ formula, in the
-    arithmetic of m, m_tilde and alpha (Decimal in :func:`coefficients`,
-    np.longdouble in general._raw_coefficients): A1..A4 from
+    arithmetic of m, m_tilde and alpha: A1..A4 from
     m~ = (m - 2) a^2 + 2 a^3 A and its cn forms, A5 from
     m~ = m^p a2^4 A5^4 for even sn, and None for odd sn, whose
     m~ = m a1^2 / a3^2 involves no sum constant."""
@@ -439,12 +419,53 @@ def _sum_constant(family, p, m, m_tilde, alpha):
     return ratio ** type(ratio)("0.25")
 
 
-def _require_finite(spec, m, alpha, arg_scale, a_sum):
-    """ArithmeticError unless every coefficient is a finite float64."""
-    if not all(math.isfinite(value) for value in (alpha, arg_scale, a_sum or 0)):
+def _coefficient_set(spec, m, convert, sqrt):
+    """The _CoefficientSet of one family at m, in the arithmetic of
+    `convert` (a float m or a Decimal to a number of that arithmetic) and
+    its `sqrt`: the one procedure behind :func:`coefficients` (Decimal, in
+    the 34-digit context) and general._raw_coefficients (np.longdouble).
+
+    m = 0 and m = 1 give the analytic limits of _limit_set.  Otherwise
+    m~, K(m~) and the argument scale s of the nome route are each
+    converted once, and alpha (s, s sqrt(m/m~) for odd cn and sn, or
+    s / sqrt(m~) for even cn) and the sum constant are formed from them in
+    that arithmetic, so that the paper's combinations of them (the
+    sine-Gordon constant C, the even-sn product side) reproduce m~ to its
+    last bit.
+
+    ValueError for m outside [0, 1]; AlternatingSumDegenerateError for the
+    even cn family below CN_EVEN_MIN_M; ArithmeticError where m~ is below
+    float64's smallest normal value (16 q^p underflows, past the route's
+    range) or a coefficient is not finite.
+    """
+    family, p, odd = spec.family, spec.p, spec.odd
+    m = _validate_m(m)
+    if family is Family.CN and not odd and m < CN_EVEN_MIN_M:
+        raise AlternatingSumDegenerateError(
+            f"alternating-sum degenerate: for m = {m!r} < {CN_EVEN_MIN_M} every dn "
+            "tends to 1 and the alternating normalization underflows")
+    if m in (0.0, 1.0):
+        return _CoefficientSet._make(None if value is None else convert(value)
+                                     for value in _limit_set(spec, m))
+    m_tilde, big_k_tilde, s = _nome_route(int(p), m)
+    if m_tilde < _TINY:
         raise ArithmeticError(
-            f"{spec.family.value} p = {spec.p} coefficients are not finite at m = {m!r}: "
-            f"alpha = {float(alpha)!r}, arg_scale = {float(arg_scale)!r}")
+            f"{family.value} p = {p} is beyond the nome route at m = {m!r}: "
+            f"m~ = 16 q^p = {float(m_tilde)!r} is below the smallest normal "
+            f"float64 {float(_TINY)!r}")
+    m_tilde, big_k_tilde, s, md = map(convert, (m_tilde, big_k_tilde, s, m))
+    if family is Family.DN or (family is Family.SN and not odd):
+        alpha = s
+    elif odd:
+        alpha = s * sqrt(md / m_tilde)
+    else:
+        alpha = s / sqrt(m_tilde)
+    a_sum = _sum_constant(family, p, md, m_tilde, alpha)
+    if not all(math.isfinite(value) for value in (alpha, s, a_sum or 0)):
+        raise ArithmeticError(
+            f"{family.value} p = {p} coefficients are not finite at m = {m!r}: "
+            f"alpha = {float(alpha)!r}, arg_scale = {float(s)!r}")
+    return _CoefficientSet(alpha, a_sum, m_tilde, s, big_k_tilde)
 
 
 def coefficients(spec: LandenSpec, m) -> LandenCoefficients:
@@ -458,7 +479,9 @@ def coefficients(spec: LandenSpec, m) -> LandenCoefficients:
     at 34 decimal digits and each value is rounded to float64 once, so it
     is correctly rounded but for a one-in-1e16 tie.  The paper's shifted
     sums are not evaluated here; :func:`landen.general.sum_route_m_tilde`
-    keeps them as verify's second route.
+    keeps them as verify's second route.  This is the Decimal run of
+    _coefficient_set, the procedure that the p-term evaluations of
+    :mod:`landen.general` run in np.longdouble.
 
     m = 0 and m = 1 return the analytic limits (the quarter period
     diverges at m = 1; several normalizations diverge at m = 0).  The even
@@ -467,23 +490,7 @@ def coefficients(spec: LandenSpec, m) -> LandenCoefficients:
     float64's smallest normal value (about p = 140 at m = 0.1), raises
     ArithmeticError.
     """
-    m = _checked_m(spec, m)
-    if m in (0.0, 1.0):
-        limit = _limit_set(spec, m)
-        alpha, a_sum, m_tilde, s = limit.alpha, limit.a_sum, limit.m_tilde, limit.arg_scale
-    else:
-        # alpha as in general._raw_coefficients, there in np.longdouble
-        m_tilde, _, s = _route(spec, m)
-        family, md = spec.family, Decimal(m)
-        with localcontext(_context()):
-            if family is Family.DN or (family is Family.SN and not spec.odd):
-                alpha = s
-            elif spec.odd:
-                alpha = s * (md / m_tilde).sqrt()
-            else:
-                alpha = s / m_tilde.sqrt()
-            a_sum = _sum_constant(family, spec.p, md, m_tilde, alpha)
-        _require_finite(spec, m, alpha, s, a_sum)
-    return LandenCoefficients(alpha=float(alpha),
-                              a_sum=None if a_sum is None else float(a_sum),
-                              m_tilde=float(m_tilde), arg_scale=float(s))
+    with localcontext(_context()):
+        coefficient_set = _coefficient_set(spec, m, Decimal, Decimal.sqrt)
+    return LandenCoefficients._make(None if value is None else float(value)
+                                    for value in coefficient_set[:4])

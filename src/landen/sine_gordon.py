@@ -43,7 +43,8 @@ from functools import cached_property
 import numpy as np
 
 from .elliptic import _PI
-from .general import Family, LandenSpec, _raw_coefficients, _shift_step, _superpose
+from .general import (Family, LandenSpec, _period_width, _raw_coefficients, _shift_step,
+                      _superpose)
 from .nome import _validate_m
 
 __all__ = [
@@ -241,7 +242,8 @@ def _psi_rows(fams, xs):
         if fam.m != 1.0:
             batch.append(j)
             continue
-        sech = 1 / np.cosh(x)
+        with np.errstate(over="ignore"):  # 1/inf = 0 where cosh overflows
+            sech = 1 / np.cosh(x)
         rows[j] = ((np.tanh(x), sech * sech) if fam.family is Family.SN
                    else (sech, -sech * np.tanh(x)))
     if batch:
@@ -280,13 +282,9 @@ def solution_period(fam: SolutionFamily) -> float:
     """Period of psi in the solution's own coordinate (inf at m = 1)."""
     if fam.m == 1.0:
         return math.inf
-    m_tilde = fam.m_tilde
-    quarter = float(fam._raw.big_k_tilde)
-    if fam.family is Family.DN:
-        return 2.0 * quarter
-    if fam.family is Family.CN:
-        return 4.0 * quarter * math.sqrt(m_tilde)
-    return 4.0 * quarter
+    period = _period_width(fam.family) * float(fam._raw.big_k_tilde)
+    # psi of a cn kind is cn(x / sqrt(m~), m~): its period carries sqrt(m~)
+    return period * math.sqrt(fam.m_tilde) if fam.family is Family.CN else period
 
 
 def default_samples(fam: SolutionFamily, n: int = 33):

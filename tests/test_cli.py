@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from landen import cli, sine_gordon
+from landen import cli, commands, sine_gordon
 from landen.classic import (classic_cn, classic_dn, classic_dn_two_term, classic_m_tilde,
                             classic_sn)
 from landen.cli import M_GRID, main
@@ -307,7 +307,7 @@ class TestTable:
         def degenerate(args):
             raise AlternatingSumDegenerateError("every dn tends to 1")
 
-        monkeypatch.setattr(cli, "cmd_table", degenerate)
+        monkeypatch.setattr(commands, "cmd_table", degenerate)
         code, out, err = run_cli(capsys, "table")
         assert code == 2 and out == ""
         assert err.startswith("error:")

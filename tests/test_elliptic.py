@@ -727,6 +727,25 @@ class TestJacobiOracle:
         assert np.all(err <= limit), (m[worst], x[worst], err[:, worst] / limit[worst])
 
 
+def test_separatrix_far_out_is_exact_without_warning():
+    # at m = 1 cosh overflows past |x| ~ 710 (11357 in an 80-bit
+    # longdouble); sech = 1/inf = 0 is the exact limit and no warning is due
+    from landen.sine_gordon import SolutionFamily, SolutionKind, psi_value
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (800.0, -800.0):
+            sign = np.copysign(1.0, x)
+            assert jacobi_eval(x, 1.0) == (sign, 0.0, 0.0)
+            assert jacobi_oracle(x, 1.0) == (sign, 0.0, 0.0)
+            row = jacobi_eval(x, [0.5, 1.0])
+            assert (row.sn[1], row.cn[1], row.dn[1]) == (sign, 0.0, 0.0)
+            far = np.longdouble(15 * x)
+            assert jacobi_eval(far, 1.0, dtype=np.longdouble) == (sign, 0.0, 0.0)
+            fam = SolutionFamily(SolutionKind.DN_ODD, 3, 1.0)
+            assert psi_value(fam, 15 * x) == 0.0
+
+
 def test_cold_import_loads_no_scipy():
     # no module of the package imports scipy, the oracle included; the split
     # evaluation uses bare threads, not an executor or a process pool

@@ -1,5 +1,6 @@
 """Tests for the multi-term transformation machinery."""
 
+import math
 import warnings
 
 import numpy as np
@@ -217,6 +218,39 @@ class TestNomeRoute:
             for p in range(2, 13):
                 for m in (1e-6,) + M_GRID + (1 - 1e-9,):
                     _raw_coefficients(spec(family, p), m)
+
+    @pytest.mark.skipif(np.finfo(LD).eps >= np.finfo(np.float64).eps,
+                        reason="np.longdouble is float64: alpha and the sum constant "
+                               "carry float64 rounding")
+    def test_longdouble_set_agrees_with_decimal(self):
+        # the one coefficient procedure in np.longdouble and in Decimal: each
+        # longdouble value rounded to float64 is within 1 ulp of the Decimal
+        # value rounded once (double rounding can cost that ulp), the limits
+        # (None, inf, nan) match alike, and a refusal is the same in both
+        rng = np.random.default_rng(1804)
+        ms = [0.0, 1.0, 1e-8, 1 - 1e-12] + [float(m) for m in rng.uniform(size=100)]
+        for p in range(2, 41):
+            for m in ms:
+                for family in ALL_FAMILIES:
+                    cell = spec(family, p)
+                    try:
+                        want = coefficients(cell, m)
+                    except (ValueError, ArithmeticError) as exc:
+                        with pytest.raises(type(exc)) as info:
+                            _raw_coefficients(cell, m)
+                        assert type(info.value) is type(exc), (family, p, m)
+                        assert str(info.value) == str(exc), (family, p, m)
+                        continue
+                    raw = _raw_coefficients(cell, m)
+                    for name in ("alpha", "a_sum", "m_tilde", "arg_scale"):
+                        w, g = getattr(want, name), getattr(raw, name)
+                        where = (family, p, m, name, w, g)
+                        if w is None or g is None:
+                            assert w is g, where
+                        elif math.isnan(w):
+                            assert math.isnan(g), where
+                        else:
+                            assert float(g) == w or abs(float(g) - w) <= math.ulp(w), where
 
     def test_pi_from_gauss_legendre(self):
         # the 34-digit route works with pi to 51 digits; jacobi_nome at a
