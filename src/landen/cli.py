@@ -61,14 +61,14 @@ def _classic_records(grid: int, tol: float):
 def _family_records(grid: int, tol: float):
     """Identity, m~-agreement and sum-route records of every (p, m) cell.
 
-    Each p is one batch over all of M_GRID and the three families: three
-    jacobi_eval calls (right-hand sides, left-hand sides, shift points).
+    Each p is one batch over all of M_GRID and the three families: two
+    jacobi_eval calls, and the sums read the right-hand sides at x = 0.
     """
     records = []
     families = tuple(Family)
     for p in range(2, 8):
-        residuals, nome_m_tildes = _identity_residuals(p, M_GRID, grid, families)
-        sum_routes = _sum_routes(p, M_GRID, families)
+        residuals, nome_m_tildes, terms = _identity_residuals(p, M_GRID, grid, families)
+        sum_routes = _sum_routes(p, M_GRID, terms, families)
         for j, m in enumerate(M_GRID):
             for family in families:
                 res = residuals[family][j]

@@ -398,6 +398,9 @@ def jacobi_oracle(x, m):
     does).  About 0.03 ms a call.  Against 40-digit mpmath on 40000 seeded
     points, |x| <= 30 and m log-dense to 1e-8 and 1 - 1e-8: at most
     14 eps (1 + |x| / K), median 0.4, mostly K's rounding through the fold.
+
+    For 0 < m < 1, |x| must stay below K / eps (8.3e15 at m = 0.5), past
+    which x - n 2K keeps no correct digit; m = 0 and 1 take any finite x.
     """
     m = _validate_m(m)
     x = float(x)
@@ -412,6 +415,8 @@ def jacobi_oracle(x, m):
 
     m1 = 1.0 - m
     big_k = _carlson_rf(0.0, m1, 1.0)
+    if abs(x) * 2.0 ** -52 >= big_k:
+        raise ValueError(f"|x| must be below K / eps = {big_k * 2.0 ** 52:.6g}, got {x!r}")
     n = round(x / (2.0 * big_k))
     r = x - n * (2.0 * big_k)  # n = 0 leaves x = -0.0 as it is
     half_pi = 0.5 * math.pi

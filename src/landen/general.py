@@ -30,9 +30,10 @@ combinations with other scale factors.
 
 Batches: the argument scale, the shift step and m~ depend on (p, m) alone,
 and jacobi_eval takes an array m.  So verify's family scope checks each p
-for many m and all three families in three jacobi_eval calls
-(_identity_residuals, _sum_routes); :func:`verify_identity` and
-:func:`sum_route_m_tilde` are the one-cell case of the same code, and
+for many m and all three families in two jacobi_eval calls
+(_identity_residuals), and the paper's sums (_sum_routes) read its
+right-hand sides at x = 0, the p shift points.  :func:`verify_identity`
+and :func:`sum_route_m_tilde` are the one-cell case of the same code, and
 every batched value is bit-identical to it.
 
 Numerics: the p-term side cancels for large p and small m (the
@@ -134,24 +135,23 @@ def sum_route_m_tilde(spec: LandenSpec, m) -> float:
     the printed formulas.  These cancel at small m and large p (dn at
     p = 7, m = 0.1 is 6.5e-7 relative off), so verify compares them with
     the nome route instead of using them.  Needs 0 < m < 1.  This is the
-    one-cell case of _sum_routes.
+    one-cell case of _sum_routes, on _shifted_eval's terms at x = 0.
     """
     m = _validate_m(m, below_one=True, above_zero=True, what="sum-route parameter m")
-    return _sum_routes(spec.p, [m], (spec.family,))[spec.family][0]
+    terms = _shifted_eval(_LD.type(0), _shift_step(spec.p, m), spec.p, m)
+    return _sum_routes(spec.p, [m], terms, (spec.family,))[spec.family][0]
 
 
-def _sum_routes(p, ms, families):
+def _sum_routes(p, ms, terms, families):
     """{family: [m~ by the paper's sums at each m of ms]} at term count p.
 
-    The p shift points of every m (0 < m < 1, validated) are evaluated in
-    one jacobi_eval call with an array m; the sums run along the term axis,
-    so each value is bit-identical to a scalar-m evaluation at that m.
+    terms are (sn, cn, dn) at the p shift points, one column per m of ms
+    (0 < m < 1): _identity_residuals' x = 0 column.  The sums run along the
+    term axis, so each value is bit-identical to a one-cell evaluation.
     """
     odd = p % 2 == 1
-    ms = np.asarray(ms, dtype=np.float64)
     one, two, md = _LD.type(1), _LD.type(2), _LD.type(ms)
-    step = _shift_step(p, ms)
-    sn, cn, dn = jacobi_eval(np.arange(p, dtype=_LD)[:, None] * step, ms, dtype=_LD)
+    sn, cn, dn = terms
 
     routes = {}
     for family in families:
@@ -291,7 +291,7 @@ def verify_identity(spec: LandenSpec, m, grid_points: int = 128) -> IdentityResi
         raise ValueError(f"grid_points must be at least 16, got {grid_points}")
     m = _validate_m(m, below_one=True,
                     what="parameter m of an identity (its period diverges at m = 1)")
-    residuals, _ = _identity_residuals(spec.p, [m], grid_points, (spec.family,))
+    residuals, _, _ = _identity_residuals(spec.p, [m], grid_points, (spec.family,))
     return residuals[spec.family][0]
 
 
@@ -303,13 +303,13 @@ def _identity_residuals(p, ms, grid_points, families):
     """verify_identity for `families` at term count p and every m of ms
     (0 <= m < 1, validated), with the nome m~ of each m.
 
-    Returns ({family: [IdentityResidual per m]}, [m~ per m]).  The arg
-    scale s, the shift step and m~ depend on (p, m) alone, so all families
-    share one grid per period width (dn's [0, 2 K~], and cn's and sn's
-    [0, 4 K~]).  One jacobi_eval over (p, m, grid, x) gives every
-    right-hand side and one over (m, grid, x) at the m~ values every
-    left-hand side; each residual is bit-identical to the cell's own
-    scalar-m evaluation.
+    Returns ({family: [IdentityResidual per m]}, [m~ per m], (sn, cn, dn)
+    at x = 0: the p shift points, shape (p, m)).  The arg scale s, the shift
+    step and m~ depend on (p, m) alone, so all families share one grid per
+    period width (dn's [0, 2 K~], and cn's and sn's [0, 4 K~]).  One
+    jacobi_eval over (p, m, grid, x) gives every right-hand side and one
+    over (m, grid, x) at the m~ values every left-hand side; each residual
+    is bit-identical to the cell's own scalar-m evaluation.
     """
     specs = [LandenSpec(family, p) for family in families]
     raws = {spec: [_raw_coefficients(spec, m) for m in ms] for spec in specs}
@@ -340,7 +340,7 @@ def _identity_residuals(p, ms, grid_points, families):
         residuals[spec.family] = [
             _residual(_normalised(raw, spec, combo[j]), single[j], span[g])
             for j, (raw, span) in enumerate(zip(raws[spec], spans))]
-    return residuals, m_tildes
+    return residuals, m_tildes, [t[:, :, 0, 0] for t in rhs_terms]
 
 
 def _residual(rhs, lhs, span):
@@ -375,10 +375,8 @@ def m_tilde_closed_p4(m):
     Checks dn(K/2) = dn(3K/2) = t and dn(K) = t^2 to 1e-12 first.
     """
     m = _validate_m(m, below_one=True, above_zero=True, what="closed-form parameter m")
-    big_k = complete_elliptic_k(m, dtype=_LD)
     t = _LD.type(1.0 - m) ** _LD.type(0.25)
-    half, three_half, full = jacobi_eval(np.array([big_k / 2, 3 * big_k / 2, big_k]), m,
-                                         dtype=_LD).dn
+    _, half, full, three_half = _shifted_eval(_LD.type(0), _shift_step(4, m), 4, m).dn
     worst = max(abs(float(half - t)), abs(float(three_half - t)),
                 abs(float(full - t * t)))
     if worst >= 1e-12:
@@ -393,11 +391,9 @@ def a5_product(p: int, m):
     prod_{i=1}^{p-1} sn(2iK/p, m).
 
     At m = 0 this is the classical sine product sin(pi/p) ... and equals
-    p / 2^(p-1) to rounding.
+    p / 2^(p-1) to rounding.  p must be even and pass LandenSpec's check.
     """
-    if not isinstance(p, (int, np.integer)) or p < 2 or p % 2 == 1:
-        raise ValueError(f"a5_product requires an even integer p >= 2, got {p!r}")
+    if LandenSpec(Family.SN, p).odd:
+        raise ValueError(f"a5_product requires an even p, got {p!r}")
     m = _validate_m(m, below_one=True, what="a5_product parameter m")
-    big_k = complete_elliptic_k(m, dtype=_LD)
-    points = 2 * big_k * np.arange(1, p, dtype=_LD) / _LD.type(p)
-    return float(np.prod(jacobi_eval(points, m, dtype=_LD).sn))
+    return float(np.prod(_shifted_eval(_LD.type(0), _shift_step(p, m), p, m).sn[1:]))

@@ -118,13 +118,11 @@ class SolutionFamily(namedtuple("SolutionFamily", "kind p m")):
     coefficients and shift step."""
 
     def __new__(cls, kind, p, m):
-        odd = _FAMILY_PARITY[kind][1]
-        if (p % 2 == 1) != odd:
+        family, odd = _FAMILY_PARITY[kind]
+        if LandenSpec(family, p).odd != odd:
             raise ValueError(
                 f"{kind.value} requires {'odd' if odd else 'even'} "
                 f"p, got p = {p}")
-        if p < 2:
-            raise ValueError(f"p must be >= 2, got {p}")
         return super().__new__(cls, kind, p, _validate_m(m))
 
     @classmethod

@@ -301,6 +301,13 @@ class TestTable:
         code, _, err = run_cli(capsys, "table", "--p-min", "5", "--p-max", "3")
         assert code == 2 and err
 
+    def test_bad_m_list(self, capsys):
+        # argparse refuses it before any command runs
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--m-list", "0.5,abc"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "" and "bad m list '0.5,abc'" in err
+
     def test_stray_degenerate_error_exits_2(self, capsys, monkeypatch):
         # main has no handler of its own for the degenerate error: it is a
         # ValueError, so one escaping a command still exits 2
@@ -405,6 +412,10 @@ class TestVerify:
         for tol in BAD_TOLS:
             code, out, err = run_cli(capsys, "verify", "--scope", "classic", "--tol", tol)
             assert code == 2 and out == "" and "--tol must be positive and finite" in err
+
+    def test_grid_floor(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--scope", "classic", "--grid", "15")
+        assert code == 2 and out == "" and "--grid must be at least 16" in err
 
 
 class TestSgCheck:

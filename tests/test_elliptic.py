@@ -699,6 +699,21 @@ class TestJacobiOracle:
         with pytest.raises(ValueError):
             jacobi_oracle(1.0, -1.0)
 
+    def test_refuses_what_the_fold_cannot_reduce(self):
+        # past |x| = K / eps (8.3e15 at m = 0.5) x - n 2K keeps no correct
+        # digit
+        for x in (1e16, 1e17, 1e300, 1.7e308):
+            for signed in (x, -x):
+                with pytest.raises(ValueError, match="K / eps"):
+                    jacobi_oracle(signed, 0.5)
+        sn, cn, dn = jacobi_oracle(0.999 * complete_elliptic_k(0.5) / EPS, 0.5)
+        assert abs(sn * sn + cn * cn - 1) < 4 * EPS
+        assert abs(dn * dn + 0.5 * sn * sn - 1) < 4 * EPS
+        # m = 0 and m = 1 do not fold
+        for x in (1e17, 1e300, 1.7e308):
+            assert jacobi_oracle(x, 0.0) == (np.sin(x), np.cos(x), 1.0)
+            assert jacobi_oracle(x, 1.0) == (1.0, 0.0, 0.0)
+
     @pytest.mark.parametrize("m", (0.0,) + M_GRID + (1.0,))
     def test_signed_zero_matches_eval(self, m):
         for x in (-0.0, 0.0):

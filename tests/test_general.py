@@ -436,13 +436,23 @@ def sum_route_per_cell(s, m):
     return float(m_tilde)
 
 
+def assert_terms_at_shift_points(terms, p, ms):
+    """The identity batch's x = 0 column holds each m's p terms at its
+    shift points, bit for bit as a scalar-m jacobi_eval call."""
+    for j, m in enumerate(ms):
+        shifts = general._shift_step(p, m) * np.arange(p, dtype=LD)
+        for got, want in zip(terms, jacobi_eval(shifts, m, dtype=LD)):
+            assert np.array_equal(got[:, j], want)
+
+
 class TestBatches:
     """verify's family scope evaluates each p for all of M_GRID and the
     three families at once; every value is the one-cell value exactly."""
 
     @pytest.mark.parametrize("p", range(2, 8))
     def test_identity_batch_equals_per_cell(self, p):
-        residuals, m_tildes = general._identity_residuals(p, M_GRID, 128, ALL_FAMILIES)
+        residuals, m_tildes, terms = general._identity_residuals(p, M_GRID, 128,
+                                                                 ALL_FAMILIES)
         for j, m in enumerate(M_GRID):
             for family in ALL_FAMILIES:
                 s = spec(family, p)
@@ -450,10 +460,13 @@ class TestBatches:
                 assert got == verify_identity(s, m, 128)
                 assert (got.max_abs, got.mean_abs) == identity_per_cell(s, m, 128)
                 assert m_tildes[j] == coefficients(s, m).m_tilde
+        assert_terms_at_shift_points(terms, p, M_GRID)
 
     @pytest.mark.parametrize("p", range(2, 8))
     def test_sum_route_batch_equals_per_cell(self, p):
-        routes = general._sum_routes(p, M_GRID, ALL_FAMILIES)
+        # the sums read the identity batch's right-hand sides at x = 0
+        _, _, terms = general._identity_residuals(p, M_GRID, 128, ALL_FAMILIES)
+        routes = general._sum_routes(p, M_GRID, terms, ALL_FAMILIES)
         for j, m in enumerate(M_GRID):
             for family in ALL_FAMILIES:
                 s = spec(family, p)
@@ -465,9 +478,10 @@ class TestBatches:
         # that family's grid
         for family in (Family.DN, Family.SN):
             s = spec(family, 4)
-            residuals, _ = general._identity_residuals(4, [0.0, 0.5], 64, (family,))
+            residuals, _, terms = general._identity_residuals(4, [0.0, 0.5], 64, (family,))
             assert residuals[family] == [verify_identity(s, 0.0, 64),
                                          verify_identity(s, 0.5, 64)]
+            assert_terms_at_shift_points(terms, 4, (0.0, 0.5))
             assert (residuals[family][0].max_abs,
                     residuals[family][0].mean_abs) == identity_per_cell(s, 0.0, 64)
 
@@ -492,8 +506,9 @@ class TestBatches:
                 assert r["max_abs"] == max(abs(a - b) for a in sums for b in sums)
 
     def test_family_scope_kernel_call_budget(self, tmp_path, monkeypatch):
-        # three jacobi_eval calls per p: right-hand sides, left-hand sides
-        # and the sums' shift points (324 kernel calls before batching)
+        # two jacobi_eval calls per p: right-hand sides, whose x = 0 column
+        # the sums read, and left-hand sides (324 kernel calls before
+        # batching)
         from landen import elliptic
         from landen.cli import main
         calls = []
@@ -501,7 +516,7 @@ class TestBatches:
         monkeypatch.setattr(elliptic, "_landen_kernel",
                             lambda x, *chain: calls.append(x.size) or kernel(x, *chain))
         assert main(["verify", "--scope", "family", "--out", str(tmp_path / "v.json")]) == 0
-        assert len(calls) <= 18
+        assert len(calls) <= 12
 
 
 class TestClosedForms:
@@ -566,6 +581,9 @@ class TestA5Product:
             a5_product(3, 0.5)
         with pytest.raises(ValueError):
             a5_product(4, 1.0)
+        # p is checked as LandenSpec checks it
+        with pytest.raises(ValueError, match="term count p must be an integer"):
+            a5_product(4.0, 0.5)
 
 
 @pytest.mark.parametrize("p", (3, 4))

@@ -78,6 +78,12 @@ class TestPsi:
         with pytest.raises(ValueError):
             SolutionFamily(SolutionKind.DN_EVEN, 4, 1.5)
 
+    def test_term_count_checked_as_landen_spec(self):
+        # p is checked when the solution is built, not at first use
+        for kind, p in ((SolutionKind.DN_ODD, 3.0), (SolutionKind.DN_EVEN, 0)):
+            with pytest.raises(ValueError, match="term count p must be an integer >= 2"):
+                SolutionFamily(kind, p, 0.5)
+
     def test_solution_is_a_value_built_once(self, monkeypatch):
         built = []
 
