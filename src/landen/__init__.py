@@ -20,8 +20,7 @@ __version__ = "0.1.0"
 
 # The module that defines each public name.
 _HOMES = {
-    "elliptic": ("EllipticTriple", "ModulusClampWarning", "complete_elliptic_k",
-                 "jacobi_eval", "jacobi_oracle"),
+    "elliptic": ("EllipticTriple", "complete_elliptic_k", "jacobi_eval", "jacobi_oracle"),
     "classic": ("ClassicLandenResult", "classic_cn", "classic_dn", "classic_dn_two_term",
                 "classic_m_tilde", "classic_sn"),
     "nome": ("AlternatingSumDegenerateError", "Family", "LandenCoefficients",

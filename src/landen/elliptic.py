@@ -13,7 +13,9 @@ path can be cross-validated without trusting shared code.  Importing this
 module loads numpy alone; the oracle needs only stdlib ``math``.
 
 Conventions: the parameter is ``m = k^2`` with ``0 <= m <= 1``; arguments
-are real.  Everything here is a pure function and safe to call from any
+are real.  m = 0 and m = 1 are the exact circular and hyperbolic limits,
+and every m between them, however close to 1, runs the one AGM/Landen
+kernel.  Everything here is a pure function and safe to call from any
 thread.
 
 Large kernel runs at a scalar m are split over short-lived threads, one
@@ -26,7 +28,6 @@ import contextvars
 import math
 import os
 import threading
-import warnings
 from collections import namedtuple
 
 import numpy as np
@@ -35,17 +36,10 @@ from .nome import _validate_m
 
 __all__ = [
     "EllipticTriple",
-    "ModulusClampWarning",
     "complete_elliptic_k",
     "jacobi_eval",
     "jacobi_oracle",
 ]
-
-# Parameters inside (1 - _CLAMP_BAND, 1) are evaluated at the m = 1 limit:
-# there the period K diverges and last-ulp changes in m swing the function
-# values across their full range, so double precision cannot distinguish
-# neighbouring parameters anyway.
-_CLAMP_BAND = 1e-12
 
 _AGM_MAX_ITER = 32
 
@@ -69,10 +63,6 @@ _SPLIT_MIN = 2 * _CHUNK
 # moves less than 4 ulp; 40000 seeded points took at most 12 steps.
 _RF_TOL = (3 * 2.0 ** -53) ** (1 / 6)
 _NEWTON_RTOL, _NEWTON_MAX_ITER = 2.0 ** -50, 64
-
-
-class ModulusClampWarning(UserWarning):
-    """Issued when a parameter inside the near-degenerate band is clamped to 1."""
 
 
 class EllipticTriple(namedtuple("EllipticTriple", "sn cn dn")):
@@ -175,19 +165,20 @@ def jacobi_eval(x, m, *, dtype=np.float64):
     1e-6 to 0.9999 it is at most 57 eps in float64 and 76 eps in
     longdouble.  Most of it is K's rounding carried through the fold, so
     it grows with |x| / K: per point it stays below about 8.3 eps (1 + |x| /
-    K) of the dtype.
+    K) of the dtype.  Within 1e-12 of 1, down to m = 1 - 2^-53, 50000
+    seeded points per dtype read at most 32 eps (1 + |x| / K), the worst
+    at |x| < 0.1 K, and at most 5.4e-14 absolute in float64.
 
     m = 0 and m = 1 are exact branches (circular and hyperbolic limits);
-    parameters within 1e-12 of 1 are clamped to the m = 1 branch and a
-    ModulusClampWarning records the clamp.
+    every 0 < m < 1 runs the kernel.
 
     Scalar and array m take one path.  m (a scalar as a 0-d array)
     broadcasts against x, one AGM chain is built for all its values (padded
     to the longest depth, see _agm_levels) and one kernel run covers every
-    point.  Elements at m = 0, m = 1 or in the clamp band run there as
-    m = 1/2 and are then overwritten by their exact branch; when every
-    element is exact, the kernel does not run.  So an array m gives,
-    element by element, the bits of the call at its own scalar m.
+    point.  Elements at m = 0 or m = 1 run there as m = 1/2 and are then
+    overwritten by their exact branch; when every element is exact, the
+    kernel does not run.  So an array m gives, element by element, the
+    bits of the call at its own scalar m.
 
     At a scalar m, kernel runs of 16384 points or more are split into
     8192-point chunks that the calling thread and one extra thread per
@@ -199,8 +190,8 @@ def jacobi_eval(x, m, *, dtype=np.float64):
     ----------
     x : float or array_like
         Finite real argument(s).  Where the kernel runs (some m in
-        0 < m <= 1 - 1e-12) in the extended dtype they must also lie within
-        the float64 range, where the quadrant quotient is taken.
+        0 < m < 1) in the extended dtype they must also lie within the
+        float64 range, where the quadrant quotient is taken.
     m : float or array_like
         Parameter(s) in [0, 1], broadcast against x.
     dtype : numpy dtype, optional
@@ -219,11 +210,7 @@ def jacobi_eval(x, m, *, dtype=np.float64):
         raise ValueError("argument x must be finite")
 
     circular = m == 0.0
-    hyperbolic = m > 1.0 - _CLAMP_BAND
-    clamped = m[hyperbolic & (m != 1.0)]
-    if clamped.size:
-        warnings.warn(f"parameter m = {float(clamped[0])!r} lies within {_CLAMP_BAND} of 1; "
-                      "evaluating at the m = 1 limit", ModulusClampWarning, stacklevel=2)
+    hyperbolic = m == 1.0
     exact = circular | hyperbolic
     full = np.broadcast_to(x, np.broadcast_shapes(x.shape, m.shape))
     if exact.all():  # nothing for the kernel: every element is overwritten below

@@ -54,7 +54,6 @@ ArithmeticError.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 
 import numpy as np
@@ -115,15 +114,13 @@ def _raw_coefficients(spec, m):
 
 def _shift_step(p, m):
     """The shift between neighbouring terms, 4K/p for odd p and 2K/p for
-    even p, in np.longdouble; inf at the scalar m = 1.
+    even p, in np.longdouble.
 
     K is jacobi_eval's own K(m), so the p shifts add up to exactly the
     period the kernel folds by.  Shifts of the exact K would miss it by the
     kernel's rounding of K, and the cancelling sums (odd cn at small m~)
     show it.  An array m gives, element by element, the scalar value.
     """
-    if np.ndim(m) == 0 and m == 1.0:
-        return math.inf
     return _LD.type(4 if p % 2 else 2) * complete_elliptic_k(m, dtype=_LD) / _LD.type(p)
 
 
@@ -136,10 +133,19 @@ def sum_route_m_tilde(spec: LandenSpec, m) -> float:
     p = 7, m = 0.1 is 6.5e-7 relative off), so verify compares them with
     the nome route instead of using them.  Needs 0 < m < 1.  This is the
     one-cell case of _sum_routes, on _shifted_eval's terms at x = 0.
+
+    Where a normalizing sum cancels to exactly 0 (the alternating dn sum of
+    even cn at small m and large p) it raises ArithmeticError.
     """
     m = _validate_m(m, below_one=True, above_zero=True, what="sum-route parameter m")
     terms = _shifted_eval(_LD.type(0), _shift_step(spec.p, m), spec.p, m)
-    return _sum_routes(spec.p, [m], terms, (spec.family,))[spec.family][0]
+    try:
+        with np.errstate(divide="raise", invalid="raise"):
+            return _sum_routes(spec.p, [m], terms, (spec.family,))[spec.family][0]
+    except FloatingPointError:
+        raise ArithmeticError(
+            f"sum route of {spec.family.value} p = {spec.p} at m = {m!r}: the shifted "
+            "sums cancel to 0, so m~ has no value on this route") from None
 
 
 def _sum_routes(p, ms, terms, families):

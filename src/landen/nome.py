@@ -333,9 +333,8 @@ def jacobi_nome(x, m) -> tuple[float, float, float]:
     to match, so the reduction leaves 34 digits for every finite x.
 
     This is the scalar route of the package, next to the array kernel
-    :func:`landen.elliptic.jacobi_eval`; unlike that kernel it evaluates
-    m within 1e-12 of 1 as it is, without a clamp.  A call takes 0.1 to
-    0.3 ms, and a few ms at |x| = 1e300.
+    :func:`landen.elliptic.jacobi_eval`.  A call takes 0.1 to 0.3 ms, and
+    a few ms at |x| = 1e300.
     """
     m = _validate_m(m)
     x = float(x)

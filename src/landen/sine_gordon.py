@@ -43,8 +43,8 @@ from functools import cached_property
 import numpy as np
 
 from .elliptic import _PI
-from .general import (Family, LandenSpec, _period_width, _raw_coefficients, _shift_step,
-                      _superpose)
+from .general import (_LD, Family, LandenSpec, _period_width, _raw_coefficients,
+                      _shift_step, _superpose)
 from .nome import _validate_m
 
 __all__ = [
@@ -69,8 +69,6 @@ __all__ = [
     "OdeResidual",
     "ode_residual",
 ]
-
-_LD = np.dtype(np.longdouble)
 
 # Samples this close to |psi| = 1 hit the removable 0/0 of the C formula
 # and are skipped rather than special-cased.  When fewer than two remain

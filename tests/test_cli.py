@@ -140,8 +140,8 @@ class TestEval:
 
     @pytest.mark.parametrize("m", [1 - 1e-13, 1 - 2 ** -53])
     def test_clamp_band_evaluated_as_is(self, capsys, m):
-        # jacobi_eval evaluates this band at m = 1 with a ModulusClampWarning;
-        # eval takes each m as it is, and warns of nothing
+        # within 1e-12 of 1, down to 1 - 2^-53: eval takes each m as it is,
+        # and warns of nothing
         mpmath = pytest.importorskip("mpmath")
         with warnings.catch_warnings():
             warnings.simplefilter("error")

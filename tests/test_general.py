@@ -473,6 +473,15 @@ class TestBatches:
                 assert routes[family][j] == sum_route_m_tilde(s, m)
                 assert routes[family][j] == sum_route_per_cell(s, m)
 
+    def test_sum_route_refuses_sums_that_cancel(self):
+        # the alternating dn sum of even cn is exactly 0 at p = 14, m = 1e-8:
+        # the one-cell route names the cell instead of returning nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError,
+                               match="cn p = 14 at m = 1e-08: the shifted sums cancel"):
+                sum_route_m_tilde(spec(Family.CN, 14), 1e-8)
+
     def test_one_family_at_the_boundary_m(self):
         # m = 0 has its own coefficients; a batch of one family holds only
         # that family's grid
