@@ -92,25 +92,13 @@ def _family_records(grid: int, tol: float):
     return records
 
 
-def _first_integral_route(fam):
-    """What verify and sg-check read off fam's first integral: (value,
-    closed-form C or None, classify(C), general m~).  NotMeasurableError
-    passes through.
-    """
-    route = _first_integral_routes([fam])[0]
-    if isinstance(route, NotMeasurableError):
-        raise route
-    return route
-
-
 def _first_integral_routes(fams):
-    """_first_integral_route of solutions of one kind and p, from one
-    evaluation; an entry is the NotMeasurableError where that raises."""
+    """What verify and sg-check read off the first integrals of solutions of
+    one kind and p, from one evaluation: per solution (value, closed-form C
+    or None, classify(C), general m~).  NotMeasurableError passes through.
+    """
     routes = []
     for fam, value in zip(fams, first_integrals(fams, [default_samples(fam) for fam in fams])):
-        if isinstance(value, NotMeasurableError):
-            routes.append(value)
-            continue
         try:
             closed = closed_form_c(fam)
         except NoClosedFormError:
@@ -134,13 +122,9 @@ def _sine_gordon_records(tol: float):
         routes = {family: _first_integral_routes(fams[family]) for family in Family}
         for j, m in enumerate(M_GRID):
             for family in Family:
-                fam, route = fams[family][j], routes[family][j]
+                fam = fams[family][j]
                 kind = fam.kind.value
-                if isinstance(route, NotMeasurableError):
-                    records.append({"check": f"c-route-{kind}", "p": p, "m": m,
-                                    "skipped": str(route)})
-                    continue
-                value, closed, verdict, target = route
+                value, closed, verdict, target = routes[family][j]
                 c = value.c
                 if fam.family is Family.CN:
                     violation = max(0.0, 2.0 - c)
@@ -187,7 +171,7 @@ def cmd_sg_check(args) -> int:
     kind = solution_kind(args.family, args.p)
     try:
         fam = SolutionFamily(kind, args.p, args.m)
-        value, closed, verdict, target = _first_integral_route(fam)
+        [(value, closed, verdict, target)] = _first_integral_routes([fam])
         ode = ode_residual(fam, args.grid)
     except (AlternatingSumDegenerateError, NotMeasurableError) as exc:
         _emit(_json_doc({"status": "Degenerate", "reason": str(exc)}), args.out)

@@ -70,13 +70,6 @@ __all__ = [
     "ode_residual",
 ]
 
-# Samples this close to |psi| = 1 hit the removable 0/0 of the C formula
-# and are skipped rather than special-cased.  When fewer than two remain
-# (psi never leaves the band at tiny m~), C is not measurable.
-PSI_SINGULAR_BAND = 1e-6
-C_NOT_MEASURABLE = "psi stays within 1e-6 of 1; first integral not measurable"
-
-
 class SolutionKind(Enum):
     DN_ODD = "dn-odd"
     DN_EVEN = "dn-even"
@@ -185,7 +178,9 @@ class NoClosedFormError(ValueError):
 
 
 class NotMeasurableError(ValueError):
-    """Fewer than two samples are admissible (C_NOT_MEASURABLE)."""
+    """Fewer than two samples have |psi| < 1: where m~ is tiny, a dn kind's
+    |psi| rounds to 1 or above almost everywhere, and there the C formula's
+    1 - psi^2 is not positive."""
 
 
 class OdeResidual(namedtuple("OdeResidual", "max_abs step")):
@@ -293,10 +288,10 @@ def default_samples(fam: SolutionFamily, n: int = 33):
 
 
 def first_integral_samples(fam: SolutionFamily, x_samples):
-    """Per-sample first-integral values at the admissible samples.
+    """Per-sample first-integral values at the samples with |psi| < 1.
 
-    Samples with |psi| >= 1 - 1e-6 sit on the removable singularity of the
-    C formula and are dropped.
+    Where |psi| rounds to 1 or above the C formula's 1 - psi^2 is not
+    positive; those samples are dropped, every other one counts.
     """
     return _first_integral_sample_rows([fam], [x_samples])[0]
 
@@ -310,8 +305,9 @@ def _first_integral_sample_rows(fams, x_rows):
 
 
 def _c_samples(fam, psi, dpsi):
-    """Per-sample C from psi and dpsi, the |psi| ~ 1 samples dropped."""
-    keep = np.abs(psi) < _LD.type(1.0 - PSI_SINGULAR_BAND)
+    """Per-sample C from psi and dpsi where |psi| < 1: there 1 - psi^2
+    cannot round to 0, so no sample divides by zero."""
+    keep = np.abs(psi) < 1
     psi, dpsi = psi[keep], dpsi[keep]
     one = _LD.type(1)
     ratio = 4 * dpsi * dpsi / (one - psi * psi)
@@ -323,34 +319,33 @@ def _c_samples(fam, psi, dpsi):
 
 
 def first_integral(fam: SolutionFamily, x_samples) -> FirstIntegralValue:
-    """Mean first-integral constant over the admissible samples, with the
-    spread (max - min) of the per-sample values.
+    """Mean first-integral constant over the samples with |psi| < 1, with
+    the spread (max - min) of the per-sample values.
 
     The spread is reported, not judged here: verify's c-constancy record,
     spread / max(1, |C|) against --tol, is the one constancy gate.  Fewer
-    than two admissible samples raise NotMeasurableError.
+    than two samples with |psi| < 1 raise NotMeasurableError.
     """
-    value = first_integrals([fam], [x_samples])[0]
-    if isinstance(value, NotMeasurableError):
-        raise value
-    return value
+    return first_integrals([fam], [x_samples])[0]
 
 
 def first_integrals(fams, x_rows):
     """first_integral(fams[j], x_rows[j]) for solutions of one kind and p,
     from one evaluation of all their psi (the x_rows share one shape).
 
-    An entry is the NotMeasurableError, returned rather than raised, where
-    first_integral would raise it.
+    Raises NotMeasurableError, naming the solution, where first_integral
+    would.
     """
     values = []
-    for fam, samples in zip(fams, _first_integral_sample_rows(fams, x_rows)):
+    for fam, x, samples in zip(fams, x_rows, _first_integral_sample_rows(fams, x_rows)):
         if samples.size < 2:
-            values.append(NotMeasurableError(C_NOT_MEASURABLE))
-        else:
-            values.append(FirstIntegralValue(c=float(samples.mean()),
-                                             sign_convention=fam.sign_convention,
-                                             spread=float(samples.max() - samples.min())))
+            raise NotMeasurableError(
+                f"{fam.kind.value} p = {fam.p} at m = {fam.m!r}: |psi| rounds to 1 or "
+                f"above at {np.size(x) - samples.size} of {np.size(x)} samples; "
+                "the first integral needs two with |psi| < 1")
+        values.append(FirstIntegralValue(c=float(samples.mean()),
+                                         sign_convention=fam.sign_convention,
+                                         spread=float(samples.max() - samples.min())))
     return values
 
 

@@ -1,6 +1,8 @@
 """Tests for the superposed solutions and the first-integral route."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -231,11 +233,8 @@ class TestBatches:
             values = first_integrals(fams, [default_samples(fam) for fam in fams])
             for fam, value in zip(fams, values):
                 samples = first_integral_samples(fam, default_samples(fam))
-                if samples.size < 2:
-                    assert isinstance(value, NotMeasurableError)
-                    with pytest.raises(NotMeasurableError):
-                        first_integral(fam, default_samples(fam))
-                    continue
+                # every sample counts, however close |psi| comes to 1
+                assert samples.size == default_samples(fam).size == 33
                 assert value == first_integral(fam, default_samples(fam))
                 assert value.c == float(samples.mean())
                 assert value.spread == float(samples.max() - samples.min())
@@ -248,10 +247,6 @@ class TestBatches:
             fam = next(SolutionFamily(solution_kind(f, p), p, m) for f in Family
                        if r["check"].endswith("-" + solution_kind(f, p).value))
             kind = r["check"][:-len(fam.kind.value) - 1]
-            if kind == "c-route":
-                with pytest.raises(NotMeasurableError):
-                    first_integral(fam, default_samples(fam))
-                continue
             value = first_integral(fam, default_samples(fam))
             scale = max(1.0, abs(value.c))
             if kind == "c-constancy":
@@ -335,13 +330,11 @@ class TestFirstIntegral:
         (2, (SolutionKind.DN_EVEN, SolutionKind.CN_EVEN_ALT,
              SolutionKind.SN_EVEN_PROD),
          (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)),
-        # dn kinds at higher p need larger m: below, psi never leaves the
-        # excluded |psi| ~ 1 band and C is not measurable
         (5, (SolutionKind.DN_ODD, SolutionKind.CN_ODD, SolutionKind.SN_ODD),
-         (0.5, 0.75, 0.9, 0.99)),
+         (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)),
         (4, (SolutionKind.DN_EVEN, SolutionKind.CN_EVEN_ALT,
              SolutionKind.SN_EVEN_PROD),
-         (0.5, 0.75, 0.9, 0.99)),
+         (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)),
     ])
     def test_c_ranges(self, p, kinds, ms):
         for m in ms:
@@ -365,10 +358,26 @@ class TestFirstIntegral:
         assert value.spread / max(1.0, abs(value.c)) <= 1e-9
 
     def test_needs_admissible_samples(self):
-        # tiny transformed parameter: psi stays inside the singular band
-        fam = SolutionFamily(SolutionKind.DN_ODD, 3, 1e-6)
-        with pytest.raises(NotMeasurableError):
+        # m~ = 2.4e-52: psi = dn(x, m~) rounds to 1 at every sample, where
+        # the C formula's 1 - psi^2 vanishes
+        fam = SolutionFamily(SolutionKind.DN_EVEN, 4, 1e-12)
+        assert first_integral_samples(fam, default_samples(fam)).size == 0
+        with pytest.raises(NotMeasurableError, match=re.escape(
+                "dn-even p = 4 at m = 1e-12: |psi| rounds to 1 or above at 33 of 33 "
+                "samples; the first integral needs two with |psi| < 1")):
             first_integral(fam, default_samples(fam))
+
+    def test_samples_near_one_count(self):
+        # m~ = 3.7e-19: psi rounds to 1 at 13 of 33 samples; the other 20
+        # give C = -2 + 4 m~, with no warning from the 1 - psi^2 near 0
+        fam = SolutionFamily(SolutionKind.DN_ODD, 9, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            samples = first_integral_samples(fam, default_samples(fam))
+            value = first_integral(fam, default_samples(fam))
+        assert samples.size == 20 and np.all(np.isfinite(samples))
+        assert value.c == -2.0 and value.spread == 0.0
+        assert classify(value).branch is Branch.DN_BRANCH
 
 
 def paper_c(fam):
