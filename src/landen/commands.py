@@ -72,11 +72,38 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+_RECORD_SEP = ",\n      "  # a comma, then the indent=2 indent of a record's keys
+
+
 def _json_doc(obj) -> str:
+    """json.dumps(obj, indent=2, allow_nan=False), byte for byte.
+
+    The encoder's C core only runs without indent, so a non-empty
+    top-level ``results`` list is encoded in one call that separates items
+    by a newline and the records' indent; the record boundaries and the
+    list's ends are then rewritten to their indent=2 form and the list is
+    spliced into the indent=2 encoding of the other keys.  That rests on
+    two invariants: every record is a flat dict of JSON scalars, and an
+    encoded string never holds a raw newline, so "},\\n      {" occurs
+    only between records.  A NaN or inf is re-encoded with indent=2, so
+    its ValueError reads as that encoder's.
+    """
     # imported here: eval and table write no JSON
     import json
 
-    return json.dumps(obj, indent=2, allow_nan=False)
+    records = obj.get("results")
+    if not records:
+        return json.dumps(obj, indent=2, allow_nan=False)
+    try:
+        flat = json.dumps(records, separators=(_RECORD_SEP, ": "), allow_nan=False)
+    except ValueError:
+        return json.dumps(obj, indent=2, allow_nan=False)
+    body = ("[\n    {\n      "
+            + flat[2:-2].replace("}" + _RECORD_SEP + "{", "\n    },\n    {\n      ")
+            + "\n    }\n  ]")
+    head, tail = json.dumps({**obj, "results": []}, indent=2,
+                            allow_nan=False).split('\n  "results": []', 1)
+    return f'{head}\n  "results": {body}{tail}'
 
 
 # ---------------------------------------------------------------- commands

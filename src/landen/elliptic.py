@@ -255,12 +255,15 @@ def _landen_kernel(x, a, c, n):
     vanished and (sn, cn, dn) = (sin z, cos z, 1), which t gives by one
     tangent instead of a sine and a cosine (the dominant cost in
     longdouble).  cn is formed as (1 - t)(1 + t), not 1 - t^2, which keeps
-    its relative accuracy near t = 1, where cn vanishes.
+    its relative accuracy near t = 1, where cn vanishes.  The folds' signs
+    are applied by mask at the end: sn is negated where r was shifted down
+    by 2K, cn where exactly one of that shift and the reflection about K
+    applied.
     """
     dtype = x.dtype
     one, two, four = dtype.type(1), dtype.type(2), dtype.type(4)
     big_k = _PI[dtype] / (two * a[n])
-    four_k = four * big_k
+    two_k, four_k = two * big_k, four * big_k
     x64 = x
     if dtype != np.float64:
         with np.errstate(over="ignore"):
@@ -271,26 +274,26 @@ def _landen_kernel(x, a, c, n):
     # sign of x and sn(-0) is -0 on this branch as at m = 0 and m = 1
     q = np.floor(x64 / np.float64(four_k)) + 0.0
     r = x - four_k * q
-    upper = r >= two * big_k
-    sgn = np.where(upper, -one, one)
-    r = np.where(upper, r - two * big_k, r)
+    upper = r >= two_k
+    r = np.where(upper, r - two_k, r)
     refl = r > big_k
-    r = np.where(refl, two * big_k - r, r)
-    cn_flip = np.where(refl, -one, one)
+    r = np.where(refl, two_k - r, r)
 
     t = np.tan(a[n] * r / two)
     den = one + t * t
     sn = two * t / den
     cn = (one - t) * (one + t) / den
-    dn = np.ones_like(t)
+    if n == 0:  # no Landen level: dn stays the deepest level's 1
+        dn = np.ones_like(t)
     for i in range(n, 0, -1):
         k1 = c[i] / a[i]
         num = k1 * sn * sn
         den = one + num
         sn = (one + k1) * sn / den
-        cn = cn * dn / den
+        # dn is exactly 1 at the deepest level, where cn * dn is cn
+        cn = (cn if i == n else cn * dn) / den
         dn = (one - num) / den
-    return sgn * sn, sgn * cn_flip * cn, dn
+    return np.where(upper, -sn, sn), np.where(upper != refl, -cn, cn), dn
 
 
 def _worker_count():

@@ -88,12 +88,19 @@ class IdentityResidual(namedtuple("IdentityResidual", "max_abs mean_abs grid_poi
 
 
 def _csum(terms):
-    """Neumaier-compensated sum of a sequence of same-shape terms."""
-    acc = terms[0] * 0
-    comp = acc
-    for t in terms:
+    """Compensated sum of a sequence of same-shape terms.
+
+    Each step adds the rounding error of acc + t from Knuth's branch-free
+    TwoSum to the compensation.  That error is exact, as is the one
+    Neumaier's sum takes from its |acc| >= |t| branch, and neither is ever
+    -0, so the result is Neumaier's sum bit for bit.  comp starts at +0,
+    which keeps the sum of all -0 terms at Neumaier's +0.
+    """
+    acc, comp = terms[0], 0.0
+    for t in terms[1:]:
         s = acc + t
-        comp = comp + np.where(np.abs(acc) >= np.abs(t), (acc - s) + t, (t - s) + acc)
+        bb = s - acc
+        comp = comp + ((acc - (s - bb)) + (t - bb))
         acc = s
     return acc + comp
 

@@ -105,8 +105,8 @@ class SignConvention(Enum):
 class SolutionFamily(namedtuple("SolutionFamily", "kind p m")):
     """One superposed solution: kind, term count p, parameter m.
 
-    It keeps an instance __dict__ (no __slots__) for its cached
-    coefficients and shift step."""
+    It keeps an instance __dict__ (no __slots__) for its cached spec and
+    coefficients, the only values it caches."""
 
     def __new__(cls, kind, p, m):
         family, odd = _FAMILY_PARITY[kind]
@@ -133,12 +133,6 @@ class SolutionFamily(namedtuple("SolutionFamily", "kind p m")):
     def _raw(self):
         """The family's coefficients at m, built once per solution."""
         return _raw_coefficients(self.spec, self.m)
-
-    @cached_property
-    def _step(self):
-        """The shift between the p terms (general._shift_step), built once
-        per solution."""
-        return _shift_step(self.p, self.m)
 
     @property
     def m_tilde(self) -> float:
@@ -223,8 +217,9 @@ def _psi_rows(fams, xs):
     """[(psi, dpsi) of fams[j] at xs[j]] for solutions of one kind and p.
 
     The xs share one shape.  Every solution with m < 1 is evaluated in one
-    _superpose call with an array m, each bit-identical to a call for that
-    solution alone; m = 1 takes the separatrix in closed form.
+    _superpose call with an array m, its shift steps from one array-m
+    _shift_step call, each bit-identical to a call for that solution alone;
+    m = 1 takes the separatrix in closed form.
     """
     xs = [np.asarray(x, dtype=_LD) for x in xs]
     rows = [None] * len(fams)
@@ -244,10 +239,9 @@ def _psi_rows(fams, xs):
             return np.array(values).reshape((-1,) + (1,) * xs[0].ndim)
 
         args = per_solution(inners).astype(_LD) * np.stack([xs[j] for j in batch])
-        combo, slope = _superpose(fams[0].spec,
-                                  per_solution([fams[j]._step for j in batch]),
-                                  per_solution([fams[j].m for j in batch]),
-                                  args, derivative=True)
+        ms = per_solution([fams[j].m for j in batch])
+        combo, slope = _superpose(fams[0].spec, _shift_step(fams[0].p, ms), ms, args,
+                                  derivative=True)
         for i, j in enumerate(batch):
             rows[j] = prefactors[i] * combo[i], prefactors[i] * inners[i] * slope[i]
     return rows

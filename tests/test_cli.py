@@ -402,6 +402,23 @@ class TestVerify:
         assert any(c.startswith("c-constancy") for c in checks)
         assert any(c.startswith("implied-m-tilde") for c in checks)
 
+    def test_sine_gordon_scope_builds_one_shift_step_per_batch(self, capsys, monkeypatch):
+        # one array-m K per (family, p) batch of M_GRID: 18 calls, not one
+        # per solution (108)
+        from landen import elliptic, general
+        calls = []
+        k = elliptic.complete_elliptic_k
+
+        def counted(m, **kwargs):
+            calls.append(np.shape(m))
+            return k(m, **kwargs)
+
+        for module in (elliptic, general, cli):
+            monkeypatch.setattr(module, "complete_elliptic_k", counted)
+        code, _, _ = run_cli(capsys, "verify", "--scope", "sine-gordon")
+        assert code == 0
+        assert 0 < len(calls) <= 18
+
     def test_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--scope", "classic",
                               "--tol", "1e-10", "--grid", "32")
@@ -518,6 +535,67 @@ class TestSgCheck:
         record = doc["results"][0]
         assert record["ode_max_abs"] <= 1e-6
         assert abs(record["implied_m_tilde"] - record["general_m_tilde"]) <= 1e-15
+
+
+def json_doc_cases():
+    """Every kind of document the commands write, from their own output,
+    and verify records holding every JSON scalar and awkward strings."""
+    argvs = [["verify", "--scope", scope] for scope in ("classic", "family",
+                                                       "sine-gordon", "all")]
+    argvs += [["sg-check", "--family", "dn", "--p", "3", "--m", "0.5"],   # Pass
+              ["sg-check", "--family", "cn", "--p", "3", "--m", "0.1"],   # Fail
+              ["sg-check", "--family", "cn", "--p", "4", "--m", "1e-12"],  # Degenerate
+              ["coeffs", "--family", "dn", "--p", "7", "--m", "0.1"],
+              ["coeffs", "--family", "cn", "--p", "3", "--m", "0"]]       # Degenerate
+    docs = []
+    for argv in argvs:
+        out = subprocess.run([sys.executable, "-m", "landen", *argv],
+                             capture_output=True, text=True).stdout
+        docs.append((" ".join(argv), out, json.loads(out)))
+    odd = {"tool_version": "x", "command": "verify", "parameters": {"scope": "all"},
+           "results": [{"check": 'quote " and back\\slash \\u0041', "m": 0.5,
+                        "note": "line\nbreak\ttab\r", "text": "\u00e9\u4e2d\U0001f600",
+                        "none": None, "yes": True, "no": False, "n": 7, "neg": -0.0,
+                        "big": 1e300, "tiny": 5e-324},
+                       {"check": "},\n      {", "p": 2},
+                       {"only": 1}],
+           "status": "Pass"}
+    docs.append(("odd records", None, odd))
+    docs.append(("one record", None, {**odd, "results": odd["results"][:1]}))
+    docs.append(("results last", None, {"status": "Pass", "results": [{"a": 1}]}))
+    docs.append(("no results", None, {"status": "Pass", "results": []}))
+    return docs
+
+
+class TestJsonDoc:
+    """_json_doc is json.dumps(doc, indent=2, allow_nan=False), byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def docs(self):
+        return json_doc_cases()
+
+    def test_bytes_equal_indent_2(self, docs):
+        for name, out, doc in docs:
+            want = json.dumps(doc, indent=2, allow_nan=False)
+            assert commands._json_doc(doc) == want, name
+            if out is not None:
+                assert out == want + "\n", name
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["results", "shell"])
+    def test_non_finite_raises_as_indent_2(self, value, where):
+        doc = {"tool_version": "x", "parameters": {"tol": 1e-9},
+               "results": [{"check": "a", "max_abs": 0.5}, {"check": "b", "max_abs": 0.25}],
+               "status": "Pass"}
+        if where == "results":
+            doc["results"][1]["max_abs"] = value
+        else:
+            doc["parameters"]["tol"] = value
+        with pytest.raises(ValueError) as want:
+            json.dumps(doc, indent=2, allow_nan=False)
+        with pytest.raises(ValueError) as got:
+            commands._json_doc(doc)
+        assert str(got.value) == str(want.value)
 
 
 # the records of one sine-Gordon cell, in verify's order

@@ -350,6 +350,60 @@ def rhs_per_term(s, m, x):
     return value
 
 
+def neumaier_sum(terms):
+    """Neumaier's compensated sum, its error from the |acc| >= |t| branch:
+    the reference _csum matches bit for bit."""
+    acc = terms[0] * 0
+    comp = acc
+    for t in terms:
+        s = acc + t
+        comp = comp + np.where(np.abs(acc) >= np.abs(t), (acc - s) + t, (t - s) + acc)
+        acc = s
+    return acc + comp
+
+
+def csum_columns(p, dtype, n=3000):
+    """(p, columns) terms: random signs and magnitudes from 1e-300 to
+    1e300, terms of one scale, exact cancellation and signed zeros."""
+    rng = np.random.default_rng(1000 + p)
+    wide = rng.choice([-1.0, 1.0], (p, n)) * 10.0 ** rng.uniform(-300, 300, (p, n))
+    narrow = rng.uniform(-1.0, 1.0, (p, n)) * 10.0 ** rng.integers(-300, 300, n)
+    # / 3 fills every bit of a longdouble significand
+    columns = [np.asarray(wide, dtype=dtype) / dtype(3),
+               np.asarray(narrow, dtype=dtype) / dtype(3)]
+    # each term cancelled exactly by its negation, with one small term
+    # left that only the compensation keeps: big, small, -big, ...
+    big = np.asarray(rng.uniform(0.5, 1.0, n) * 10.0 ** rng.uniform(-300, 300, n), dtype=dtype)
+    small = big * np.asarray(rng.uniform(1e-30, 1e-17, n), dtype=dtype)
+    cancel = np.zeros((p, n), dtype=dtype)
+    cancel[0] = big
+    cancel[1 % p] += small
+    if p > 2:
+        cancel[2] = -big
+    columns.append(cancel)
+    # signed zeros: all -0, all +0, zeros mixed with each other and with
+    # a term and its negation
+    zeros = np.zeros((p, 4), dtype=dtype)
+    zeros[:, 0] = -0.0
+    zeros[::2, 2] = -0.0
+    zeros[0, 3], zeros[-1, 3] = 1.5, -1.5
+    zeros[1:-1, 3] = -0.0
+    columns.append(zeros)
+    return np.concatenate(columns, axis=1)
+
+
+class TestCompensatedSum:
+    @pytest.mark.parametrize("dtype", [np.float64, LD])
+    @pytest.mark.parametrize("p", range(1, 10))
+    def test_bitwise_equals_neumaier(self, p, dtype):
+        terms = csum_columns(p, dtype)
+        want = neumaier_sum(list(terms))
+        for got in (_csum(list(terms)), _csum(terms)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_transform_rhs_bitwise_equals_per_term_loop(family):
     xs = np.linspace(-5.0, 9.0, 23)

@@ -98,8 +98,6 @@ class TestPsi:
         assert type(fam.m) is float and fam.spec == LandenSpec(Family.DN, 3)
         assert fam._raw is fam._raw
         assert built == [(LandenSpec(Family.DN, 3), 1.0)]
-        half = SolutionFamily(SolutionKind.DN_ODD, 3, 0.5)  # a shift step needs m < 1
-        assert half._step is half._step
         same = SolutionFamily(SolutionKind.DN_ODD, 3, 1.0)
         assert same == fam and hash(same) == hash(fam)
         assert repr(fam) == "SolutionFamily(kind=<SolutionKind.DN_ODD: 'dn-odd'>, p=3, m=1.0)"
