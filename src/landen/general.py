@@ -119,18 +119,6 @@ def _raw_coefficients(spec, m):
     return _coefficient_set(spec, m, _longdouble, np.sqrt)
 
 
-def _shift_step(p, m):
-    """The shift between neighbouring terms, 4K/p for odd p and 2K/p for
-    even p, in np.longdouble.
-
-    K is jacobi_eval's own K(m), so the p shifts add up to exactly the
-    period the kernel folds by.  Shifts of the exact K would miss it by the
-    kernel's rounding of K, and the cancelling sums (odd cn at small m~)
-    show it.  An array m gives, element by element, the scalar value.
-    """
-    return _LD.type(4 if p % 2 else 2) * complete_elliptic_k(m, dtype=_LD) / _LD.type(p)
-
-
 def sum_route_m_tilde(spec: LandenSpec, m) -> float:
     """m~ by the paper's own route, the second one behind the nome route.
 
@@ -145,7 +133,7 @@ def sum_route_m_tilde(spec: LandenSpec, m) -> float:
     even cn at small m and large p) it raises ArithmeticError.
     """
     m = _validate_m(m, below_one=True, above_zero=True, what="sum-route parameter m")
-    terms = _shifted_eval(_LD.type(0), _shift_step(spec.p, m), spec.p, m)
+    terms = _shifted_eval(_LD.type(0), spec.p, m)
     try:
         with np.errstate(divide="raise", invalid="raise"):
             return _sum_routes(spec.p, [m], terms, (spec.family,))[spec.family][0]
@@ -189,14 +177,20 @@ def _sum_routes(p, ms, terms, families):
     return routes
 
 
-def _shifted_eval(args, step, p, m):
+def _shifted_eval(args, p, m):
     """(sn, cn, dn) at args + i step for i = 0..p-1, in one jacobi_eval call.
+
+    The step, 4K/p for odd p and 2K/p for even p, is formed here alone, from
+    jacobi_eval's own K(m): so the p shifts add up to exactly the period the
+    kernel folds by.  Shifts of the exact K would miss it by the kernel's
+    rounding of K, and the cancelling sums (odd cn at small m~) show it.
 
     Row i of each returned array (shape ``(p,) + args.shape``) is the i-th
     shifted term, so row-ordered sums and products keep the term order.
-    step and m are scalars or arrays that broadcast against args, one value
-    per parameter of a batch.
+    m (0 <= m < 1) is a scalar or an array that broadcasts against args, one
+    value per parameter of a batch, each element bit-identical to its call.
     """
+    step = _LD.type(4 if p % 2 else 2) * complete_elliptic_k(m, dtype=_LD) / _LD.type(p)
     shifts = np.arange(p, dtype=_LD).reshape((-1,) + (1,) * np.ndim(args)) * step
     return jacobi_eval(args + shifts, m, dtype=_LD)
 
@@ -246,11 +240,10 @@ def _combine(spec, terms, m, derivative=False):
     return _csum(signed(rows)), _csum(signed(slope()))
 
 
-def _superpose(spec, step, m, args, derivative=False):
-    """The p shifted terms f(args + i step), i = 0..p-1, combined by
-    _combine.  step and m may be arrays of a batch of parameters, one per
-    leading index of args."""
-    return _combine(spec, _shifted_eval(args, step, spec.p, m), m, derivative)
+def _superpose(spec, m, args, derivative=False):
+    """The p shifted terms of _shifted_eval at args, combined by _combine.
+    m may be an array of a batch, one parameter per leading index of args."""
+    return _combine(spec, _shifted_eval(args, spec.p, m), m, derivative)
 
 
 def _check_evaluable(raw, spec, m):
@@ -271,8 +264,7 @@ def _normalised(raw, spec, combo):
 
 def _rhs_from_raw(raw, spec, m, x):
     _check_evaluable(raw, spec, m)
-    combo = _superpose(spec, _shift_step(spec.p, m), m,
-                       raw.arg_scale * np.asarray(x, dtype=_LD))
+    combo = _superpose(spec, m, raw.arg_scale * np.asarray(x, dtype=_LD))
     return _normalised(raw, spec, combo)
 
 
@@ -341,8 +333,7 @@ def _identity_residuals(p, ms, grid_points, families):
         return np.array(values).reshape(-1, 1, 1)
 
     scale = per_m([raw.arg_scale for raw in shared]).astype(_LD)
-    step = _shift_step(p, per_m(ms))
-    rhs_terms = _shifted_eval(scale * xs, step, p, per_m(ms))
+    rhs_terms = _shifted_eval(scale * xs, p, per_m(ms))
     lhs = jacobi_eval(xs, per_m(m_tildes), dtype=_LD)
 
     residuals = {}
@@ -389,7 +380,7 @@ def m_tilde_closed_p4(m):
     """
     m = _validate_m(m, below_one=True, above_zero=True, what="closed-form parameter m")
     t = _LD.type(1.0 - m) ** _LD.type(0.25)
-    _, half, full, three_half = _shifted_eval(_LD.type(0), _shift_step(4, m), 4, m).dn
+    _, half, full, three_half = _shifted_eval(_LD.type(0), 4, m).dn
     worst = max(abs(float(half - t)), abs(float(three_half - t)),
                 abs(float(full - t * t)))
     if worst >= 1e-12:
@@ -409,4 +400,4 @@ def a5_product(p: int, m):
     if LandenSpec(Family.SN, p).odd:
         raise ValueError(f"a5_product requires an even p, got {p!r}")
     m = _validate_m(m, below_one=True, what="a5_product parameter m")
-    return float(np.prod(_shifted_eval(_LD.type(0), _shift_step(p, m), p, m).sn[1:]))
+    return float(np.prod(_shifted_eval(_LD.type(0), p, m).sn[1:]))

@@ -42,9 +42,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .elliptic import _PI
-from .general import (_LD, Family, LandenSpec, _period_width, _raw_coefficients,
-                      _shift_step, _superpose)
+from .elliptic import _PI, jacobi_eval
+from .general import _LD, Family, LandenSpec, _period_width, _raw_coefficients, _superpose
 from .nome import _validate_m
 
 __all__ = [
@@ -217,9 +216,10 @@ def _psi_rows(fams, xs):
     """[(psi, dpsi) of fams[j] at xs[j]] for solutions of one kind and p.
 
     The xs share one shape.  Every solution with m < 1 is evaluated in one
-    _superpose call with an array m, its shift steps from one array-m
-    _shift_step call, each bit-identical to a call for that solution alone;
-    m = 1 takes the separatrix in closed form.
+    _superpose call with an array m, each bit-identical to a call for that
+    solution alone.  At the separatrix m = 1, jacobi_eval gives (tanh, sech,
+    sech): psi = tanh, psi' = sech^2 for the sn kinds, psi = sech,
+    psi' = -sech tanh for the others.
     """
     xs = [np.asarray(x, dtype=_LD) for x in xs]
     rows = [None] * len(fams)
@@ -228,10 +228,8 @@ def _psi_rows(fams, xs):
         if fam.m != 1.0:
             batch.append(j)
             continue
-        with np.errstate(over="ignore"):  # 1/inf = 0 where cosh overflows
-            sech = 1 / np.cosh(x)
-        rows[j] = ((np.tanh(x), sech * sech) if fam.family is Family.SN
-                   else (sech, -sech * np.tanh(x)))
+        tanh, _, sech = jacobi_eval(x, 1.0, dtype=_LD)
+        rows[j] = (tanh, sech * sech) if fam.family is Family.SN else (sech, -sech * tanh)
     if batch:
         prefactors, inners = zip(*(_pieces(fams[j]) for j in batch))
 
@@ -240,8 +238,7 @@ def _psi_rows(fams, xs):
 
         args = per_solution(inners).astype(_LD) * np.stack([xs[j] for j in batch])
         ms = per_solution([fams[j].m for j in batch])
-        combo, slope = _superpose(fams[0].spec, _shift_step(fams[0].p, ms), ms, args,
-                                  derivative=True)
+        combo, slope = _superpose(fams[0].spec, ms, args, derivative=True)
         for i, j in enumerate(batch):
             rows[j] = prefactors[i] * combo[i], prefactors[i] * inners[i] * slope[i]
     return rows

@@ -507,19 +507,22 @@ class TestSgCheck:
 
     def test_every_grid_cell_passes_the_spread_gate(self, capsys):
         # the gate changes no status on p 2..7 x M_GRID: the widest relative
-        # spread there is 2.2e-10 (cn, p = 7, m = 0.1); and every cell is
-        # measured, so none exits 2
+        # spread there is 2.2e-10 (cn, p = 7, m = 0.1); every cell is
+        # measured, so none exits 2; and no cell warns, as verify runs
+        # under -W error
         wide, degenerate = [], []
-        for family in ("dn", "cn", "sn"):
-            for p in range(2, 8):
-                for m in M_GRID:
-                    code, out, _ = run_cli(capsys, "sg-check", "--family", family,
-                                           "--p", str(p), "--m", repr(m))
-                    if code == 2:
-                        degenerate.append((family, p, m))
-                    for record in json.loads(out).get("results", []):
-                        if record["c_spread"] / max(1.0, abs(record["c"])) > 1e-9:
-                            wide.append((family, p, m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for family in ("dn", "cn", "sn"):
+                for p in range(2, 8):
+                    for m in M_GRID:
+                        code, out, _ = run_cli(capsys, "sg-check", "--family", family,
+                                               "--p", str(p), "--m", repr(m))
+                        if code == 2:
+                            degenerate.append((family, p, m))
+                        for record in json.loads(out).get("results", []):
+                            if record["c_spread"] / max(1.0, abs(record["c"])) > 1e-9:
+                                wide.append((family, p, m))
         assert not wide and not degenerate
 
     @pytest.mark.parametrize("p,m", TINY_M_TILDE_DN_CELLS)

@@ -286,11 +286,11 @@ def test_against_mpmath(dtype):
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_against_mpmath_near_one(dtype):
     # 1 - m log-uniform on [2^-53, 1e-12], both ends pinned, |x| <= 8K with
-    # a quarter of the points at |x| <= 0.1 K, where the error peaks.  The
-    # kernel runs there as everywhere in 0 < m < 1 and warns of nothing.
-    # 50000 seeded points of this kind read at most 32 eps (1 + |x| / K) in
-    # both dtypes (median 0.1, 99th percentile 21), so each point is held to
-    # 64 eps (1 + |x| / K); the worst float64 error was 5.4e-14 absolute.
+    # a quarter of the points at |x| <= 0.1 K.  The kernel runs there as
+    # everywhere in 0 < m < 1 and warns of nothing.  50000 seeded points of
+    # this kind per dtype read at most 27 eps (1 + |x| / K), so each point is
+    # held to 64 eps (1 + |x| / K); the worst float64 error was 4.9e-14
+    # absolute.
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(2053)
     n, pinned = 600, 40
@@ -668,6 +668,68 @@ class TestArrayM:
             assert np.array_equal(got.reshape(-1), np.array(want, dtype=dtype))
         with pytest.raises(ValueError, match="divergent at m = 1"):
             complete_elliptic_k(np.array([0.5, 1.0]))
+
+
+class TestParity:
+    """sn is odd and cn, dn are even, bit for bit, the sign of zero included:
+    the kernel folds |x| and gives sn the sign of x."""
+
+    @staticmethod
+    def assert_odd_even(x, m, dtype):
+        x = np.asarray(x, dtype=dtype)
+        pos, neg = (map(np.asarray, jacobi_eval(v, m, dtype=dtype)) for v in (x, -x))
+        sn, cn, dn = pos
+        assert_bitwise(tuple(neg), (-sn, cn, dn))
+
+    @staticmethod
+    def points(m, dtype):
+        # seeded x over |x| <= 8K, +-0 and the neighbours of +-jK, where the
+        # float64 quadrant quotient can round across an integer
+        big_k = complete_elliptic_k(0.5 if m == 1.0 else m, dtype=dtype)  # K(1) diverges
+        x = list(np.random.default_rng(17).uniform(-8, 8, 400).astype(dtype) * big_k)
+        x += [dtype(0.0), dtype(-0.0)]
+        for j in range(-8, 9):
+            lo = hi = dtype(j) * big_k
+            x.append(lo)
+            for _ in range(3):
+                lo, hi = np.nextafter(lo, dtype(-np.inf)), np.nextafter(hi, dtype(np.inf))
+                x += [lo, hi]
+        return np.array(x, dtype=dtype)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("m", (0.0, 1e-8, 0.1, 0.5, 0.9, 0.99, 1 - 1e-14, 1.0))
+    def test_scalar_m(self, m, dtype):
+        x = self.points(m, dtype)
+        self.assert_odd_even(x, m, dtype)
+        for value in x[-60:]:
+            self.assert_odd_even(value, m, dtype)  # scalar x and m
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_array_m(self, dtype):
+        x = np.stack([self.points(0.5, dtype)] * len(ARRAY_M))
+        self.assert_odd_even(x, ARRAY_M[:, None], dtype)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_split_path(self, dtype, monkeypatch):
+        splits = []
+        split_eval = elliptic._split_eval
+        monkeypatch.setattr(elliptic, "_split_eval",
+                            lambda x, chain: splits.append(x.size) or split_eval(x, chain))
+        x = np.resize(self.points(0.75, dtype), elliptic._SPLIT_MIN + 5)
+        self.assert_odd_even(x, 0.75, dtype)
+        assert splits == [x.size, x.size]
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("m", (0.5, 1 - 1e-14))
+    def test_small_negative_argument_against_mpmath(self, m, dtype):
+        # the fold of x itself formed -0.0175 as a difference near 4K: sn
+        # was 17.7 eps off at m = 0.5 and 442 eps at m = 1 - 1e-14 (float64)
+        mpmath = pytest.importorskip("mpmath")
+        x = np.array([-0.0175], dtype=dtype)
+        got = jacobi_eval(x, m, dtype=dtype)
+        err = ellipfun_errors(x, np.array([m]), got, mpmath)[:, 0]
+        relative = err / np.abs(np.array(got, dtype=float)[:, 0])
+        assert np.all(relative <= 4 * np.finfo(dtype).eps), relative / np.finfo(dtype).eps
 
 
 class TestJacobiOracle:

@@ -321,6 +321,14 @@ def test_m_tilde_decreasing_in_p(m, p):
             < coefficients(spec(Family.DN, p), m).m_tilde)
 
 
+def shift_points(p, m):
+    """The p shift points i 4K/p (odd p) or i 2K/p (even p), i = 0..p-1,
+    with K = complete_elliptic_k(m) in longdouble: the reference for the
+    step that general._shifted_eval forms."""
+    step = (4 if p % 2 else 2) * complete_elliptic_k(m, dtype=LD) / LD(p)
+    return step * np.arange(p, dtype=LD)
+
+
 def rhs_per_term(s, m, x):
     """The extended-precision p-term side with one jacobi_eval call per
     shifted term, summed and multiplied in term order: the reference for
@@ -328,7 +336,7 @@ def rhs_per_term(s, m, x):
     raw = _raw_coefficients(s, m)
     x = np.asarray(x, dtype=LD)
     args = raw.arg_scale * x
-    shifts = general._shift_step(s.p, m) * np.arange(s.p, dtype=LD)
+    shifts = shift_points(s.p, m)
     triples = [jacobi_eval(args + shifts[i], m, dtype=LD) for i in range(s.p)]
     if s.family is Family.SN and not s.odd:
         prod = np.ones_like(x)
@@ -465,8 +473,7 @@ def sum_route_per_cell(s, m):
     """The paper's sums at one m with a scalar-m jacobi_eval call, term by
     term: the reference for the batch over m."""
     one, two, md = LD(1), LD(2), LD(m)
-    step = (4 if s.odd else 2) * complete_elliptic_k(m, dtype=LD) / LD(s.p)
-    sn, cn, dn = jacobi_eval(step * np.arange(s.p, dtype=LD), m, dtype=LD)
+    sn, cn, dn = jacobi_eval(shift_points(s.p, m), m, dtype=LD)
     alt = [-v if i % 2 else v for i, v in enumerate(dn)]
     if s.family is Family.DN:
         alpha = one / _csum(list(dn))
@@ -494,8 +501,7 @@ def assert_terms_at_shift_points(terms, p, ms):
     """The identity batch's x = 0 column holds each m's p terms at its
     shift points, bit for bit as a scalar-m jacobi_eval call."""
     for j, m in enumerate(ms):
-        shifts = general._shift_step(p, m) * np.arange(p, dtype=LD)
-        for got, want in zip(terms, jacobi_eval(shifts, m, dtype=LD)):
+        for got, want in zip(terms, jacobi_eval(shift_points(p, m), m, dtype=LD)):
             assert np.array_equal(got[:, j], want)
 
 

@@ -9,9 +9,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from landen import sine_gordon
-from landen.elliptic import _PI, jacobi_eval
+from landen.elliptic import _PI, complete_elliptic_k, jacobi_eval
 from landen.general import (AlternatingSumDegenerateError, Family, LandenSpec, _csum,
-                            _raw_coefficients, _shift_step, coefficients)
+                            _raw_coefficients, coefficients)
 from landen.sine_gordon import (Branch, FirstIntegralValue, NoClosedFormError,
                                 NotMeasurableError, SignConvention, SolutionFamily, SolutionKind,
                                 _pieces, _psi_and_derivative, _psi_rows, _reconstruct_phi,
@@ -152,7 +152,8 @@ def psi_per_term(fam, x):
     shifted term, summed and multiplied in term order: the reference for
     the broadcast evaluation."""
     prefactor, inner = _pieces(fam)
-    shifts = _shift_step(fam.p, fam.m) * np.arange(fam.p, dtype=LD)
+    step = (4 if fam.p % 2 else 2) * complete_elliptic_k(fam.m, dtype=LD) / LD(fam.p)
+    shifts = step * np.arange(fam.p, dtype=LD)
     x = np.asarray(x, dtype=LD)
     args = inner * x
     triples = [jacobi_eval(args + shifts[i], fam.m, dtype=LD)
@@ -218,6 +219,26 @@ def test_psi_rows_equal_per_term_loop(kind):
     for fam, x, (psi, dpsi) in zip(fams, xs, rows):
         want = psi_per_term(fam, x) if fam.m < 1.0 else _psi_and_derivative(fam, x)
         assert np.array_equal(psi, want[0]) and np.array_equal(dpsi, want[1])
+
+
+@pytest.mark.parametrize("kind", list(SolutionKind))
+def test_separatrix_rows_are_tanh_and_sech(kind):
+    # m = 1: psi = tanh x, psi' = sech^2 x for the sn kinds and psi = sech x,
+    # psi' = -sech x tanh x for the others, bit for bit, signed zeros
+    # included, and with no overflow warning where cosh overflows
+    p = 3 if kind in (SolutionKind.DN_ODD, SolutionKind.CN_ODD, SolutionKind.SN_ODD) else 4
+    fam = SolutionFamily(kind, p, 1.0)
+    x = np.array([0.0, -0.0, 0.3, -2.5, 700.0, 711.0, -800.0, 12000.0, 1e300], dtype=LD)
+    tanh = np.tanh(x)
+    with np.errstate(over="ignore"):
+        sech = 1 / np.cosh(x)
+    want = ((tanh, sech * sech) if fam.family is Family.SN else (sech, -sech * tanh))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _psi_rows([fam], [x])[0]
+    for g, w in zip(got, want):
+        assert g.dtype == LD_DTYPE
+        assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
 
 
 class TestBatches:
