@@ -75,47 +75,39 @@ class EllipticTriple(namedtuple("EllipticTriple", "sn cn dn")):
 
 
 def _agm_chain(m, dtype):
-    """AGM scale factors a_n and half-differences c_n for parameter m.
+    """AGM(1, sqrt(1 - m)): means a[0..n] and half-differences c[0..n].
 
-    Returns (a, c, n) where a[n] is the converged mean of AGM(1, sqrt(1 - m))
-    and c[0] = sqrt(m).  For an array m the levels are arrays of m's shape,
-    padded as _agm_levels describes.
-    """
-    md = dtype.type(m)
-    a, c = _agm_levels(np.sqrt(dtype.type(1) - md), dtype)
-    return a, [np.sqrt(md)] + c, len(c)
+    Returns (a, c, n) with a[0] = 1, c[0] = sqrt(m), a[n] the converged
+    mean and c[i] = (a[i-1] - b[i-1]) / 2, b[0] = sqrt(1 - m).  Iteration
+    stops when |a - b| drops below the dtype's resolution relative to a,
+    with a hard cap of 32 levels (quadratic convergence reaches it in
+    <= 10 for any parameter representable away from 1).
 
-
-def _agm_levels(b, dtype):
-    """Levels of AGM(1, b): means a[0..n] and half-differences c[1..n].
-
-    Returns (a, c) with a[0] = 1 and c[i-1] = (a[i-1] - b[i-1]) / 2.
-    Iteration stops when |a - b| drops below the dtype's resolution
-    relative to a, with a hard cap of 32 levels (quadratic convergence
-    reaches it in <= 10 for any parameter representable away from 1).
-
-    An array b runs every chain to the depth of the longest one.  A chain
-    that has converged is padded at its deep end: its mean repeats and its
-    c is 0, so a padded Landen level (k1 = 0) leaves sn and cn unchanged
-    and dn at 1, and each element comes out bit-identical to its own
-    scalar chain (DLMF 22.20).
+    Every level has m's shape, a scalar for a scalar m, and one loop
+    builds them all.  An array m runs every chain to the depth of the
+    longest one.  On the levels past some chain's convergence, that chain
+    is padded: its mean repeats and its c is 0, so a padded Landen level
+    (k1 = 0) leaves sn and cn unchanged and dn at 1, and each element
+    comes out bit-identical to its own scalar chain (DLMF 22.20).
     """
     rtol = _AGM_RTOL[dtype]
-    two = dtype.type(2)
-    a = [dtype.type(1)]
-    c = []
-    padded = np.ndim(b) > 0
-    live = abs(a[-1] - b) > rtol * a[-1]
-    while len(c) < _AGM_MAX_ITER and (live.any() if padded else live):
+    one, two = dtype.type(1), dtype.type(2)
+    md = dtype.type(m)
+    b = np.sqrt(one - md)
+    a, c = [one + 0 * b], [np.sqrt(md)]
+    live = abs(a[0] - b) > rtol * a[0]
+    n_live = np.count_nonzero(live)
+    while n_live and len(c) <= _AGM_MAX_ITER:
         a_prev = a[-1]
         a.append((a_prev + b) / two)
         c.append((a_prev - b) / two)
-        if padded:
+        if n_live < live.size:
             a[-1] = np.where(live, a[-1], a_prev)
             c[-1] = np.where(live, c[-1], 0)
         b = np.sqrt(a_prev * b)
         live = live & (abs(a[-1] - b) > rtol * a[-1])
-    return a, c
+        n_live = np.count_nonzero(live)
+    return a, c, len(c) - 1
 
 
 def complete_elliptic_k(m, *, dtype=np.float64):
@@ -133,8 +125,9 @@ def complete_elliptic_k(m, *, dtype=np.float64):
     Returns
     -------
     scalar of `dtype` (a float for float64) for scalar m, an array of m's
-    shape for array m, accurate to a few ulp.  Each element equals the
-    scalar call at that m.
+    shape for array m (also where no m has a Landen level, as at m = 0),
+    accurate to a few ulp.  Each element equals the scalar call at that m:
+    one AGM chain serves every m (see _agm_chain).
     """
     m = _validate_m(m, below_one=True,
                     what="the parameter m of K(m) (divergent at m = 1)")
@@ -175,7 +168,7 @@ def jacobi_eval(x, m, *, dtype=np.float64):
 
     Scalar and array m take one path.  m (a scalar as a 0-d array)
     broadcasts against x, one AGM chain is built for all its values (padded
-    to the longest depth, see _agm_levels) and one kernel run covers every
+    to the longest depth, see _agm_chain) and one kernel run covers every
     point.  Elements at m = 0 or m = 1 run there as m = 1/2 and are then
     overwritten by their exact branch; when every element is exact, the
     kernel does not run.  So an array m gives, element by element, the

@@ -247,9 +247,8 @@ def _superpose(spec, m, args, derivative=False):
 
 
 def _check_evaluable(raw, spec, m):
-    # at m = 1 the shift step diverges with K(m)
-    if not (np.isfinite(float(raw.alpha)) and np.isfinite(float(raw.arg_scale))
-            and m < 1.0):
+    # odd cn and sn have no finite coefficients at m = 0
+    if not (np.isfinite(float(raw.alpha)) and np.isfinite(float(raw.arg_scale))):
         raise ValueError(
             f"right-hand side is not evaluable at m = {m!r} for {spec.family.value} "
             f"p = {spec.p}: coefficients degenerate at this boundary")
@@ -274,8 +273,11 @@ def transform_rhs(spec: LandenSpec, m, x):
 
     For the even sn family this is the shifted product divided by A5 a2;
     for every other family the compensated alpha-weighted sum.  Accepts a
-    scalar or array x; returns float64.
+    scalar or array x; returns float64.  m lies in [0, 1), as the shift
+    step diverges with K(m) at m = 1; odd cn and sn also refuse m = 0.
     """
+    m = _validate_m(m, below_one=True,
+                    what="parameter m of a right-hand side (its shift step diverges at m = 1)")
     scalar = np.ndim(x) == 0
     raw = _raw_coefficients(spec, m)
     value = _rhs_from_raw(raw, spec, m, x)

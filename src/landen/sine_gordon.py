@@ -290,7 +290,7 @@ def first_integral_samples(fam: SolutionFamily, x_samples):
 def _first_integral_sample_rows(fams, x_rows):
     """first_integral_samples(fams[j], x_rows[j]) for every j, from one
     _psi_rows evaluation."""
-    xs = [np.atleast_1d(np.asarray(x, dtype=float)).astype(_LD) for x in x_rows]
+    xs = [np.atleast_1d(np.asarray(x, dtype=_LD)) for x in x_rows]
     return [_c_samples(fam, psi, dpsi)
             for fam, (psi, dpsi) in zip(fams, _psi_rows(fams, xs))]
 

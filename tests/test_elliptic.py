@@ -666,6 +666,14 @@ class TestArrayM:
             assert got.shape == (2, len(ms) // 2) and got.dtype == dtype
             want = [complete_elliptic_k(m, dtype=dtype) for m in ms]
             assert np.array_equal(got.reshape(-1), np.array(want, dtype=dtype))
+            # no chain has a Landen level here, and K still takes m's shape
+            for levelless in ([0.0, 0.0], [1e-300, 1e-20], np.zeros((2, 3)), []):
+                levelless = np.asarray(levelless, dtype=np.float64)
+                got = complete_elliptic_k(levelless, dtype=dtype)
+                assert isinstance(got, np.ndarray)
+                assert got.shape == levelless.shape and got.dtype == dtype
+                want = [complete_elliptic_k(m, dtype=dtype) for m in levelless.reshape(-1)]
+                assert np.array_equal(got.reshape(-1), np.array(want, dtype=dtype))
         with pytest.raises(ValueError, match="divergent at m = 1"):
             complete_elliptic_k(np.array([0.5, 1.0]))
 

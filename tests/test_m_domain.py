@@ -13,7 +13,8 @@ import pytest
 from landen import (Family, LandenSpec, SolutionFamily, SolutionKind, a5_product,
                     classic_cn, classic_dn, classic_dn_two_term, classic_m_tilde,
                     classic_sn, coefficients, complete_elliptic_k, jacobi_eval,
-                    jacobi_oracle, m_tilde_closed_p3, m_tilde_closed_p4)
+                    jacobi_oracle, m_tilde_closed_p3, m_tilde_closed_p4, sum_route_m_tilde,
+                    transform_rhs, verify_identity)
 
 CLOSED, BELOW_ONE, OPEN = "[0, 1]", "[0, 1)", "(0, 1)"
 
@@ -28,6 +29,9 @@ ENTRY_POINTS = {
     "classic_dn_two_term": (lambda m: classic_dn_two_term(0.3, m), BELOW_ONE),
     "coefficients": (lambda m: coefficients(LandenSpec(Family.DN, 3), m), CLOSED),
     "a5_product": (lambda m: a5_product(4, m), BELOW_ONE),
+    "transform_rhs": (lambda m: transform_rhs(LandenSpec(Family.DN, 3), m, 0.3), BELOW_ONE),
+    "verify_identity": (lambda m: verify_identity(LandenSpec(Family.DN, 3), m), BELOW_ONE),
+    "sum_route_m_tilde": (lambda m: sum_route_m_tilde(LandenSpec(Family.DN, 3), m), OPEN),
     "m_tilde_closed_p3": (m_tilde_closed_p3, OPEN),
     "m_tilde_closed_p4": (m_tilde_closed_p4, OPEN),
     "SolutionFamily": (lambda m: SolutionFamily(SolutionKind.DN_ODD, 3, m), CLOSED),

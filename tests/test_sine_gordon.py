@@ -386,6 +386,17 @@ class TestFirstIntegral:
                 "samples; the first integral needs two with |psi| < 1")):
             first_integral(fam, default_samples(fam))
 
+    def test_longdouble_samples_are_taken_as_given(self):
+        # each C is the one at the x passed in: a longdouble x is not
+        # rounded to float64 on its way to psi
+        fam = SolutionFamily(SolutionKind.CN_ODD, 5, 0.75)
+        xs = (np.arange(33) + LD("0.37")) * LD(solution_period(fam)) / 33
+        assert np.any(xs != xs.astype(np.float64))
+        psi, dpsi = _psi_rows([fam], [xs])[0]
+        want = sine_gordon._c_samples(fam, psi, dpsi)
+        got = first_integral_samples(fam, xs)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_samples_near_one_count(self):
         # m~ = 3.7e-19: psi rounds to 1 at 13 of 33 samples; the other 20
         # give C = -2 + 4 m~, with no warning from the 1 - psi^2 near 0
