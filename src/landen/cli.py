@@ -94,8 +94,8 @@ def _family_records(grid: int, tol: float):
 
 def _first_integral_routes(fams):
     """What verify and sg-check read off the first integrals of solutions of
-    one kind and p, from one evaluation: per solution (value, closed-form C
-    or None, classify(C), general m~).  NotMeasurableError passes through.
+    one p, from one evaluation: per solution (value, closed-form C or None,
+    classify(C), general m~).  NotMeasurableError passes through.
     """
     routes = []
     for fam, value in zip(fams, first_integrals(fams, [default_samples(fam) for fam in fams])):
@@ -115,30 +115,27 @@ def _c_constancy(value):
 
 
 def _sine_gordon_records(tol: float):
+    """c-* and implied-m-tilde records of the 18 solutions (three kinds,
+    all of M_GRID) of each p, from one evaluation per p."""
     records = []
     for p in range(2, 8):
-        fams = {family: [SolutionFamily(solution_kind(family, p), p, m) for m in M_GRID]
-                for family in Family}
-        routes = {family: _first_integral_routes(fams[family]) for family in Family}
-        for j, m in enumerate(M_GRID):
-            for family in Family:
-                fam = fams[family][j]
-                kind = fam.kind.value
-                value, closed, verdict, target = routes[family][j]
-                c = value.c
-                if fam.family is Family.CN:
-                    violation = max(0.0, 2.0 - c)
-                else:
-                    violation = max(0.0, -2.0 - c, c - 2.0)
-                checks = [("c-constancy", _c_constancy(value)), ("c-range", violation)]
-                if closed is not None:
-                    checks.append(("c-closed-form", abs(c - closed) / max(1.0, abs(c))))
-                # absolute comparison: the implied value (C + 2) / 4 cannot
-                # resolve parameters below ~1e-16 out of a float C near -2
-                checks.append(("implied-m-tilde", abs(verdict.m_tilde - target)))
-                records += [{"check": f"{check}-{kind}", "p": p, "m": m,
-                             "max_abs": value, "tol": tol, "pass": value <= tol}
-                            for check, value in checks]
+        fams = [SolutionFamily(solution_kind(family, p), p, m)
+                for m in M_GRID for family in Family]
+        for fam, (value, closed, verdict, target) in zip(fams, _first_integral_routes(fams)):
+            c = value.c
+            if fam.family is Family.CN:
+                violation = max(0.0, 2.0 - c)
+            else:
+                violation = max(0.0, -2.0 - c, c - 2.0)
+            checks = [("c-constancy", _c_constancy(value)), ("c-range", violation)]
+            if closed is not None:
+                checks.append(("c-closed-form", abs(c - closed) / max(1.0, abs(c))))
+            # absolute comparison: the implied value (C + 2) / 4 cannot
+            # resolve parameters below ~1e-16 out of a float C near -2
+            checks.append(("implied-m-tilde", abs(verdict.m_tilde - target)))
+            records += [{"check": f"{check}-{fam.kind.value}", "p": p, "m": fam.m,
+                         "max_abs": value, "tol": tol, "pass": value <= tol}
+                        for check, value in checks]
     return records
 
 

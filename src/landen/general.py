@@ -54,14 +54,15 @@ ArithmeticError.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 
 import numpy as np
 
 from .elliptic import complete_elliptic_k, jacobi_eval
 from .nome import (CN_EVEN_MIN_M, AlternatingSumDegenerateError, Family,
-                   LandenCoefficients, LandenSpec, _coefficient_set, _validate_m,
-                   coefficients)
+                   LandenCoefficients, LandenSpec, _coefficient_set, _open_at_zero,
+                   _validate_m, coefficients)
 
 __all__ = [
     "Family",
@@ -111,11 +112,16 @@ def _longdouble(value):
     return _LD.type(value if isinstance(value, float) else str(value))
 
 
+@functools.lru_cache(maxsize=1024)
 def _raw_coefficients(spec, m):
     """The coefficients of :func:`coefficients` at m in np.longdouble, the
     working precision of the p-term evaluations, with K(m~): the procedure
     of :func:`coefficients` (landen.nome._coefficient_set) run in that
-    precision.  It raises what that raises."""
+    precision.  It raises what that raises.
+
+    Cached for the last 1024 cells (spec, m), so every layer that reads a
+    cell (the family scope, the sine-Gordon solutions) shares one build.
+    """
     return _coefficient_set(spec, m, _longdouble, np.sqrt)
 
 
@@ -240,20 +246,6 @@ def _combine(spec, terms, m, derivative=False):
     return _csum(signed(rows)), _csum(signed(slope()))
 
 
-def _superpose(spec, m, args, derivative=False):
-    """The p shifted terms of _shifted_eval at args, combined by _combine.
-    m may be an array of a batch, one parameter per leading index of args."""
-    return _combine(spec, _shifted_eval(args, spec.p, m), m, derivative)
-
-
-def _check_evaluable(raw, spec, m):
-    # odd cn and sn have no finite coefficients at m = 0
-    if not (np.isfinite(float(raw.alpha)) and np.isfinite(float(raw.arg_scale))):
-        raise ValueError(
-            f"right-hand side is not evaluable at m = {m!r} for {spec.family.value} "
-            f"p = {spec.p}: coefficients degenerate at this boundary")
-
-
 def _normalised(raw, spec, combo):
     """The combination scaled to compare with the single function at m~."""
     if spec.family is Family.SN and not spec.odd:
@@ -262,9 +254,8 @@ def _normalised(raw, spec, combo):
 
 
 def _rhs_from_raw(raw, spec, m, x):
-    _check_evaluable(raw, spec, m)
-    combo = _superpose(spec, m, raw.arg_scale * np.asarray(x, dtype=_LD))
-    return _normalised(raw, spec, combo)
+    terms = _shifted_eval(raw.arg_scale * np.asarray(x, dtype=_LD), spec.p, m)
+    return _normalised(raw, spec, _combine(spec, terms, m))
 
 
 def transform_rhs(spec: LandenSpec, m, x):
@@ -274,9 +265,10 @@ def transform_rhs(spec: LandenSpec, m, x):
     For the even sn family this is the shifted product divided by A5 a2;
     for every other family the compensated alpha-weighted sum.  Accepts a
     scalar or array x; returns float64.  m lies in [0, 1), as the shift
-    step diverges with K(m) at m = 1; odd cn and sn also refuse m = 0.
+    step diverges with K(m) at m = 1, and in (0, 1) for odd cn and sn,
+    whose normalization diverges at m = 0.
     """
-    m = _validate_m(m, below_one=True,
+    m = _validate_m(m, below_one=True, above_zero=_open_at_zero(spec),
                     what="parameter m of a right-hand side (its shift step diverges at m = 1)")
     scalar = np.ndim(x) == 0
     raw = _raw_coefficients(spec, m)
@@ -291,12 +283,13 @@ def verify_identity(spec: LandenSpec, m, grid_points: int = 128) -> IdentityResi
     The grid spans one full period of the left-hand side: [0, 2 K(m~)] for
     the dn family, [0, 4 K(m~)] for cn and sn.  Since the coefficients come
     from the nome route, not from the shifted sums, the residual tests the
-    identity itself, at x = 0 too.  This is the one-cell case of
+    identity itself, at x = 0 too.  m lies in [0, 1), and in (0, 1) for odd
+    cn and sn, as for :func:`transform_rhs`.  This is the one-cell case of
     _identity_residuals.
     """
     if grid_points < 16:
         raise ValueError(f"grid_points must be at least 16, got {grid_points}")
-    m = _validate_m(m, below_one=True,
+    m = _validate_m(m, below_one=True, above_zero=_open_at_zero(spec),
                     what="parameter m of an identity (its period diverges at m = 1)")
     residuals, _, _ = _identity_residuals(spec.p, [m], grid_points, (spec.family,))
     return residuals[spec.family][0]
@@ -308,7 +301,8 @@ def _period_width(family):
 
 def _identity_residuals(p, ms, grid_points, families):
     """verify_identity for `families` at term count p and every m of ms
-    (0 <= m < 1, validated), with the nome m~ of each m.
+    (validated: 0 <= m < 1, and m > 0 for odd cn and sn), with the nome m~
+    of each m.
 
     Returns ({family: [IdentityResidual per m]}, [m~ per m], (sn, cn, dn)
     at x = 0: the p shift points, shape (p, m)).  The arg scale s, the shift
@@ -320,9 +314,6 @@ def _identity_residuals(p, ms, grid_points, families):
     """
     specs = [LandenSpec(family, p) for family in families]
     raws = {spec: [_raw_coefficients(spec, m) for m in ms] for spec in specs}
-    for spec in specs:
-        for m, raw in zip(ms, raws[spec]):
-            _check_evaluable(raw, spec, m)
 
     shared = raws[specs[0]]
     m_tildes = [float(raw.m_tilde) for raw in shared]

@@ -116,6 +116,13 @@ class LandenSpec(namedtuple("LandenSpec", "family p")):
         return self.p % 2 == 1
 
 
+def _open_at_zero(spec):
+    """Whether the family's p-term side takes m in (0, 1) rather than
+    [0, 1): odd cn and odd sn, whose normalization diverges at m = 0
+    (_limit_set).  Callers pass it to _validate_m as above_zero."""
+    return spec.odd and spec.family is not Family.DN
+
+
 class LandenCoefficients(namedtuple("LandenCoefficients", "alpha a_sum m_tilde arg_scale")):
     """Normalization, cubic-sum/product constant, transformed parameter,
     and the multiplier applied to x inside the right-hand side, as floats.

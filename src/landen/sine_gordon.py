@@ -38,13 +38,13 @@ import math
 import warnings
 from collections import namedtuple
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
 from .elliptic import _PI, jacobi_eval
-from .general import _LD, Family, LandenSpec, _period_width, _raw_coefficients, _superpose
-from .nome import _validate_m
+from .general import (_LD, Family, LandenSpec, _combine, _period_width, _raw_coefficients,
+                      _shifted_eval)
+from .nome import _open_at_zero, _validate_m
 
 __all__ = [
     "SolutionKind",
@@ -104,8 +104,10 @@ class SignConvention(Enum):
 class SolutionFamily(namedtuple("SolutionFamily", "kind p m")):
     """One superposed solution: kind, term count p, parameter m.
 
-    It keeps an instance __dict__ (no __slots__) for its cached spec and
-    coefficients, the only values it caches."""
+    A plain value: its coefficients are general._raw_coefficients of its
+    cell, which that function caches, so equal solutions share one build."""
+
+    __slots__ = ()
 
     def __new__(cls, kind, p, m):
         family, odd = _FAMILY_PARITY[kind]
@@ -124,13 +126,13 @@ class SolutionFamily(namedtuple("SolutionFamily", "kind p m")):
     def family(self) -> Family:
         return _FAMILY_PARITY[self.kind][0]
 
-    @cached_property
+    @property
     def spec(self) -> LandenSpec:
         return LandenSpec(self.family, self.p)
 
-    @cached_property
+    @property
     def _raw(self):
-        """The family's coefficients at m, built once per solution."""
+        """The family's coefficients at m, built once per cell."""
         return _raw_coefficients(self.spec, self.m)
 
     @property
@@ -182,7 +184,8 @@ class OdeResidual(namedtuple("OdeResidual", "max_abs step")):
 
 def _pieces(fam: SolutionFamily):
     """(prefactor, inner) of psi = prefactor * combo(inner x), where combo
-    is the family's shifted sum or product (general._superpose)."""
+    is the family's combination of the p shifted terms (general._combine
+    of general._shifted_eval)."""
     m, raw = fam.m, fam._raw
     if fam.family is Family.SN and fam.spec.odd:
         # only the inner scale a1 and the prefactor sqrt(m) a1 enter; at
@@ -207,16 +210,13 @@ def _pieces(fam: SolutionFamily):
     return prefactor, inner
 
 
-def _psi_and_derivative(fam, x):
-    """psi and its analytic x-derivative, in extended precision."""
-    return _psi_rows([fam], [x])[0]
-
-
 def _psi_rows(fams, xs):
-    """[(psi, dpsi) of fams[j] at xs[j]] for solutions of one kind and p.
+    """[(psi, dpsi) of fams[j] at xs[j]], in extended precision, for
+    solutions of one p and of any kinds.
 
-    The xs share one shape.  Every solution with m < 1 is evaluated in one
-    _superpose call with an array m, each bit-identical to a call for that
+    The xs share one shape.  The shifted terms of every solution with m < 1
+    come from one _shifted_eval call with an array m, and each solution's
+    row combines its own terms (_combine), bit-identical to a call for that
     solution alone.  At the separatrix m = 1, jacobi_eval gives (tanh, sech,
     sech): psi = tanh, psi' = sech^2 for the sn kinds, psi = sech,
     psi' = -sech tanh for the others.
@@ -237,17 +237,18 @@ def _psi_rows(fams, xs):
             return np.array(values).reshape((-1,) + (1,) * xs[0].ndim)
 
         args = per_solution(inners).astype(_LD) * np.stack([xs[j] for j in batch])
-        ms = per_solution([fams[j].m for j in batch])
-        combo, slope = _superpose(fams[0].spec, ms, args, derivative=True)
+        terms = _shifted_eval(args, fams[0].p, per_solution([fams[j].m for j in batch]))
         for i, j in enumerate(batch):
-            rows[j] = prefactors[i] * combo[i], prefactors[i] * inners[i] * slope[i]
+            combo, slope = _combine(fams[j].spec, [t[:, i] for t in terms], fams[j].m,
+                                    derivative=True)
+            rows[j] = prefactors[i] * combo, prefactors[i] * inners[i] * slope
     return rows
 
 
 def psi_value(fam: SolutionFamily, x):
     """sin(phi/2) of the superposed solution at x (scalar or array)."""
     scalar = np.ndim(x) == 0
-    psi, _ = _psi_and_derivative(fam, x)
+    [(psi, _)] = _psi_rows([fam], [x])
     psi = np.asarray(psi, dtype=np.float64)
     return psi[()] if scalar else psi
 
@@ -255,7 +256,7 @@ def psi_value(fam: SolutionFamily, x):
 def psi_derivative(fam: SolutionFamily, x):
     """Analytic d(psi)/dx of the superposed solution at x."""
     scalar = np.ndim(x) == 0
-    _, dpsi = _psi_and_derivative(fam, x)
+    [(_, dpsi)] = _psi_rows([fam], [x])
     dpsi = np.asarray(dpsi, dtype=np.float64)
     return dpsi[()] if scalar else dpsi
 
@@ -284,15 +285,8 @@ def first_integral_samples(fam: SolutionFamily, x_samples):
     Where |psi| rounds to 1 or above the C formula's 1 - psi^2 is not
     positive; those samples are dropped, every other one counts.
     """
-    return _first_integral_sample_rows([fam], [x_samples])[0]
-
-
-def _first_integral_sample_rows(fams, x_rows):
-    """first_integral_samples(fams[j], x_rows[j]) for every j, from one
-    _psi_rows evaluation."""
-    xs = [np.atleast_1d(np.asarray(x, dtype=_LD)) for x in x_rows]
-    return [_c_samples(fam, psi, dpsi)
-            for fam, (psi, dpsi) in zip(fams, _psi_rows(fams, xs))]
+    [(psi, dpsi)] = _psi_rows([fam], [np.atleast_1d(np.asarray(x_samples, dtype=_LD))])
+    return _c_samples(fam, psi, dpsi)
 
 
 def _c_samples(fam, psi, dpsi):
@@ -321,14 +315,17 @@ def first_integral(fam: SolutionFamily, x_samples) -> FirstIntegralValue:
 
 
 def first_integrals(fams, x_rows):
-    """first_integral(fams[j], x_rows[j]) for solutions of one kind and p,
-    from one evaluation of all their psi (the x_rows share one shape).
+    """first_integral(fams[j], x_rows[j]) for solutions of one p, of any
+    kinds, from one evaluation of all their psi (the x_rows share one
+    shape).
 
     Raises NotMeasurableError, naming the solution, where first_integral
     would.
     """
+    xs = [np.atleast_1d(np.asarray(x, dtype=_LD)) for x in x_rows]
     values = []
-    for fam, x, samples in zip(fams, x_rows, _first_integral_sample_rows(fams, x_rows)):
+    for fam, x, (psi, dpsi) in zip(fams, xs, _psi_rows(fams, xs)):
+        samples = _c_samples(fam, psi, dpsi)
         if samples.size < 2:
             raise NotMeasurableError(
                 f"{fam.kind.value} p = {fam.p} at m = {fam.m!r}: |psi| rounds to 1 or "
@@ -351,13 +348,12 @@ def closed_form_c(fam: SolutionFamily) -> float:
     and sn kinds need m > 0.  The even dn and alternating cn kinds, which
     the paper gives only a range, raise NoClosedFormError.
     """
-    family, odd = fam.family, fam.spec.odd
-    if not odd and family is not Family.SN:
+    family, spec = fam.family, fam.spec
+    if not spec.odd and family is not Family.SN:
         raise NoClosedFormError(
             f"no closed-form C for {fam.kind.value}; only the range is known")
-    if odd and family is not Family.DN:
-        _validate_m(fam.m, above_zero=True,
-                    what=f"m of the closed-form C for {fam.kind.value}")
+    _validate_m(fam.m, above_zero=_open_at_zero(spec),
+                what=f"m of the closed-form C for {fam.kind.value}")
     m_tilde = fam._raw.m_tilde
     return float(4 / m_tilde - 2 if family is Family.CN else 4 * m_tilde - 2)
 
@@ -447,7 +443,7 @@ def ode_residual(fam: SolutionFamily, grid_points: int = 256) -> OdeResidual:
         span *= 2.0  # phi librates over two psi periods
     h = span / grid_points
     xs = (np.arange(grid_points, dtype=_LD) + _LD.type(0.5)) * _LD.type(h)
-    psi, dpsi = _psi_and_derivative(fam, xs)
+    [(psi, dpsi)] = _psi_rows([fam], [xs])
     phi = _reconstruct_phi(fam, psi, dpsi)
 
     d2 = (-phi[:-4] + 16 * phi[1:-3] - 30 * phi[2:-2] + 16 * phi[3:-1] - phi[4:]) \

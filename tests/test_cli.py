@@ -403,8 +403,8 @@ class TestVerify:
         assert any(c.startswith("implied-m-tilde") for c in checks)
 
     def test_sine_gordon_scope_builds_one_shift_step_per_batch(self, capsys, monkeypatch):
-        # one array-m K per (family, p) batch of M_GRID: 18 calls, not one
-        # per solution (108)
+        # one array-m K per p over the three kinds and all of M_GRID: 6
+        # calls, not one per solution (108)
         from landen import elliptic, general
         calls = []
         k = elliptic.complete_elliptic_k
@@ -417,7 +417,24 @@ class TestVerify:
             monkeypatch.setattr(module, "complete_elliptic_k", counted)
         code, _, _ = run_cli(capsys, "verify", "--scope", "sine-gordon")
         assert code == 0
-        assert 0 < len(calls) <= 18
+        assert 0 < len(calls) <= 6
+
+    def test_all_scopes_build_each_coefficient_set_once(self, capsys, monkeypatch):
+        # the family and sine-Gordon scopes read the same 108 (family, p, m)
+        # cells, and general._raw_coefficients' cache gives both one build
+        from landen import general
+        built = []
+        coefficient_set = general._coefficient_set
+
+        def counted(spec, m, *args):
+            built.append((spec, m))
+            return coefficient_set(spec, m, *args)
+
+        monkeypatch.setattr(general, "_coefficient_set", counted)
+        general._raw_coefficients.cache_clear()
+        code, _, _ = run_cli(capsys, "verify", "--scope", "all")
+        assert code == 0
+        assert len(built) == len(set(built)) == 3 * 6 * len(M_GRID)
 
     def test_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--scope", "classic",

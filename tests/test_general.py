@@ -214,6 +214,7 @@ class TestNomeRoute:
             raise AssertionError("jacobi_eval called on the coefficient path")
 
         monkeypatch.setattr(general, "jacobi_eval", forbidden)
+        _raw_coefficients.cache_clear()  # build every set here, none from the cache
         for family in ALL_FAMILIES:
             for p in range(2, 13):
                 for m in (1e-6,) + M_GRID + (1 - 1e-9,):

@@ -31,6 +31,15 @@ ENTRY_POINTS = {
     "a5_product": (lambda m: a5_product(4, m), BELOW_ONE),
     "transform_rhs": (lambda m: transform_rhs(LandenSpec(Family.DN, 3), m, 0.3), BELOW_ONE),
     "verify_identity": (lambda m: verify_identity(LandenSpec(Family.DN, 3), m), BELOW_ONE),
+    # odd cn and sn have no finite normalization at m = 0; even sn has
+    "transform_rhs cn p = 3": (lambda m: transform_rhs(LandenSpec(Family.CN, 3), m, 0.3), OPEN),
+    "transform_rhs sn p = 3": (lambda m: transform_rhs(LandenSpec(Family.SN, 3), m, 0.3), OPEN),
+    "transform_rhs sn p = 4": (lambda m: transform_rhs(LandenSpec(Family.SN, 4), m, 0.3),
+                               BELOW_ONE),
+    "verify_identity cn p = 3": (lambda m: verify_identity(LandenSpec(Family.CN, 3), m), OPEN),
+    "verify_identity sn p = 3": (lambda m: verify_identity(LandenSpec(Family.SN, 3), m), OPEN),
+    "verify_identity sn p = 4": (lambda m: verify_identity(LandenSpec(Family.SN, 4), m),
+                                 BELOW_ONE),
     "sum_route_m_tilde": (lambda m: sum_route_m_tilde(LandenSpec(Family.DN, 3), m), OPEN),
     "m_tilde_closed_p3": (m_tilde_closed_p3, OPEN),
     "m_tilde_closed_p4": (m_tilde_closed_p4, OPEN),

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from landen import sine_gordon
+from landen import general, sine_gordon
 from landen.elliptic import _PI, complete_elliptic_k, jacobi_eval
 from landen.general import (AlternatingSumDegenerateError, Family, LandenSpec, _csum,
                             _raw_coefficients, coefficients)
 from landen.sine_gordon import (Branch, FirstIntegralValue, NoClosedFormError,
                                 NotMeasurableError, SignConvention, SolutionFamily, SolutionKind,
-                                _pieces, _psi_and_derivative, _psi_rows, _reconstruct_phi,
+                                _pieces, _psi_rows, _reconstruct_phi,
                                 classify, closed_form_c,
                                 default_samples, first_integral, first_integral_samples,
                                 first_integrals,
@@ -87,19 +87,27 @@ class TestPsi:
                 SolutionFamily(kind, p, 0.5)
 
     def test_solution_is_a_value_built_once(self, monkeypatch):
+        # a plain value: two equal solutions built apart share one
+        # coefficient build (general._raw_coefficients caches per cell), and
+        # there is no __dict__ to hold anything else
         built = []
+        coefficient_set = general._coefficient_set
 
-        def raw(spec, m):
+        def counted(spec, m, *args):
             built.append((spec, m))
-            return _raw_coefficients(spec, m)
+            return coefficient_set(spec, m, *args)
 
-        monkeypatch.setattr(sine_gordon, "_raw_coefficients", raw)
+        monkeypatch.setattr(general, "_coefficient_set", counted)
+        _raw_coefficients.cache_clear()
         fam = SolutionFamily(SolutionKind.DN_ODD, 3, 1)
         assert type(fam.m) is float and fam.spec == LandenSpec(Family.DN, 3)
-        assert fam._raw is fam._raw
-        assert built == [(LandenSpec(Family.DN, 3), 1.0)]
         same = SolutionFamily(SolutionKind.DN_ODD, 3, 1.0)
         assert same == fam and hash(same) == hash(fam)
+        assert fam.m_tilde == same.m_tilde == 1.0
+        assert solution_period(same) == math.inf and closed_form_c(same) == 2.0
+        assert built == [(LandenSpec(Family.DN, 3), 1.0)]
+        with pytest.raises(AttributeError):
+            fam.extra = 1
         assert repr(fam) == "SolutionFamily(kind=<SolutionKind.DN_ODD: 'dn-odd'>, p=3, m=1.0)"
         with pytest.raises(AttributeError):
             fam.m = 0.5
@@ -199,7 +207,7 @@ def test_psi_bitwise_equals_per_term_loop(kind):
             fam = SolutionFamily(kind, p, m)
             for x in (default_samples(fam), 0.37):
                 psi, dpsi = psi_per_term(fam, x)
-                new_psi, new_dpsi = _psi_and_derivative(fam, x)
+                [(new_psi, new_dpsi)] = _psi_rows([fam], [x])
                 assert np.array_equal(new_psi, psi) and np.array_equal(new_dpsi, dpsi)
                 f64 = np.float64
                 assert np.array_equal(psi_value(fam, x), np.asarray(psi, dtype=f64))
@@ -217,8 +225,17 @@ def test_psi_rows_equal_per_term_loop(kind):
     xs = [default_samples(fam) for fam in fams]
     rows = _psi_rows(fams, xs)
     for fam, x, (psi, dpsi) in zip(fams, xs, rows):
-        want = psi_per_term(fam, x) if fam.m < 1.0 else _psi_and_derivative(fam, x)
+        want = psi_per_term(fam, x) if fam.m < 1.0 else _psi_rows([fam], [x])[0]
         assert np.array_equal(psi, want[0]) and np.array_equal(dpsi, want[1])
+    # and in one batch with the other two kinds of p, as verify evaluates
+    # them: every row bitwise the per-kind row
+    mixed = [SolutionFamily(solution_kind(family, p), p, fam.m)
+             for fam in fams for family in Family]
+    mixed_rows = _psi_rows(mixed, [x for x in xs for _ in Family])
+    mine = [row for fam, row in zip(mixed, mixed_rows) if fam.kind is kind]
+    assert len(mine) == len(rows)
+    for (psi, dpsi), (want_psi, want_dpsi) in zip(mine, rows):
+        assert np.array_equal(psi, want_psi) and np.array_equal(dpsi, want_dpsi)
 
 
 @pytest.mark.parametrize("kind", list(SolutionKind))
@@ -242,8 +259,8 @@ def test_separatrix_rows_are_tanh_and_sech(kind):
 
 
 class TestBatches:
-    """verify's sine-Gordon scope evaluates each (kind, p) for all of its m
-    at once; every value is the one-cell value exactly."""
+    """verify's sine-Gordon scope evaluates each p for all of its kinds and
+    m at once; every value is the one-cell value exactly."""
 
     @pytest.mark.parametrize("family", list(Family))
     def test_first_integrals_equal_per_cell(self, family):
@@ -278,7 +295,8 @@ class TestBatches:
                 assert kind == "c-range"
 
     def test_sine_gordon_scope_kernel_call_budget(self, tmp_path, monkeypatch):
-        # one psi evaluation per (kind, p): 108 kernel calls before batching
+        # one psi evaluation per p over its three kinds and six m: 6 kernel
+        # calls, where one per solution would make 108
         from landen import elliptic
         from landen.cli import main
         calls = []
@@ -287,7 +305,7 @@ class TestBatches:
                             lambda x, *chain: calls.append(x.size) or kernel(x, *chain))
         target = tmp_path / "v.json"
         assert main(["verify", "--scope", "sine-gordon", "--out", str(target)]) == 0
-        assert len(calls) <= 18
+        assert len(calls) <= 6
 
 
 class TestFirstIntegral:
@@ -549,7 +567,7 @@ def test_unwrap_equals_per_sample_loop(kind, p, m, grid):
     fam = SolutionFamily(kind, p, m)
     h = solution_period(fam) / grid
     xs = (np.arange(grid, dtype=LD) + LD(0.5)) * LD(h)
-    psi, dpsi = _psi_and_derivative(fam, xs)
+    [(psi, dpsi)] = _psi_rows([fam], [xs])
     assert np.array_equal(_reconstruct_phi(fam, psi, dpsi), phi_per_sample(psi, dpsi))
 
 
