@@ -40,7 +40,7 @@ class ClassicLandenResult(namedtuple("ClassicLandenResult", "lhs rhs m_tilde")):
 def _parameters(m):
     """(m, k', m~) of a valid m; arrays of m's shape for array m."""
     # m~ -> 1 and the quarter period diverges at m = 1
-    m = _validate_m(m, below_one=True, what="two-term transformation parameter m")
+    m = _validate_m(m, below_one=True, array=True, what="two-term transformation parameter m")
     kp = np.sqrt(1.0 - m)
     ratio = (1.0 - kp) / (1.0 + kp)
     # a product, not ratio ** 2: a scalar power goes through pow(), which

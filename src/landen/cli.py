@@ -36,6 +36,12 @@ SUMS_CANCELLED = ("the shifted sums cancel: m~ misses the nome route by more tha
                   f"{SUM_ROUTE_RTOL:g} relative")
 
 
+def _record(check, p, m, max_abs, tol):
+    """One gated verify record; the classic checks (p None) have no p key."""
+    head = {"check": check} if p is None else {"check": check, "p": p}
+    return {**head, "m": m, "max_abs": max_abs, "tol": tol, "pass": max_abs <= tol}
+
+
 def _classic_records(grid: int, tol: float):
     """classic-* records of all of M_GRID from one batch; each grid spans a
     period of its left side, 4 K(m~) for sn and cn and 2 K(m~) for dn."""
@@ -52,9 +58,7 @@ def _classic_records(grid: int, tol: float):
     records = []
     for j, m_j in enumerate(M_GRID):
         for name, diff in diffs.items():
-            worst = float(np.max(np.abs(diff[j])))
-            records.append({"check": name, "m": m_j, "max_abs": worst,
-                            "tol": tol, "pass": worst <= tol})
+            records.append(_record(name, None, m_j, float(np.max(np.abs(diff[j]))), tol))
     return records
 
 
@@ -70,25 +74,18 @@ def _family_records(grid: int, tol: float):
         residuals, nome_m_tildes, terms = _identity_residuals(p, M_GRID, grid, families)
         sum_routes = _sum_routes(p, M_GRID, terms, families)
         for j, m in enumerate(M_GRID):
-            for family in families:
-                res = residuals[family][j]
-                records.append({"check": f"identity-{family.value}", "p": p, "m": m,
-                                "max_abs": res.max_abs, "tol": tol,
-                                "pass": res.max_abs <= tol})
+            records += [_record(f"identity-{f.value}", p, m, residuals[f][j].max_abs, tol)
+                        for f in families]
             sums = {family: sum_routes[family][j] for family in families}
             vals = list(sums.values())
             worst = max(abs(a - b) for a in vals for b in vals)
-            records.append({"check": "m-tilde-agreement", "p": p, "m": m,
-                            "max_abs": worst, "tol": tol, "pass": worst <= tol})
+            records.append(_record("m-tilde-agreement", p, m, worst, tol))
             nome = nome_m_tildes[j]
             for family, value in sums.items():
-                rel = abs(value - nome) / nome
-                record = {"check": f"sum-route-{family.value}", "p": p, "m": m}
-                if rel <= SUM_ROUTE_RTOL:
-                    record.update({"max_abs": rel, "tol": SUM_ROUTE_RTOL, "pass": True})
-                else:
-                    record.update({"rel_err": rel, "flagged": SUMS_CANCELLED})
-                records.append(record)
+                rel, check = abs(value - nome) / nome, f"sum-route-{family.value}"
+                records.append(_record(check, p, m, rel, SUM_ROUTE_RTOL) if rel <= SUM_ROUTE_RTOL
+                               else {"check": check, "p": p, "m": m, "rel_err": rel,
+                                     "flagged": SUMS_CANCELLED})
     return records
 
 
@@ -133,8 +130,7 @@ def _sine_gordon_records(tol: float):
             # absolute comparison: the implied value (C + 2) / 4 cannot
             # resolve parameters below ~1e-16 out of a float C near -2
             checks.append(("implied-m-tilde", abs(verdict.m_tilde - target)))
-            records += [{"check": f"{check}-{fam.kind.value}", "p": p, "m": fam.m,
-                         "max_abs": value, "tol": tol, "pass": value <= tol}
+            records += [_record(f"{check}-{fam.kind.value}", p, fam.m, value, tol)
                         for check, value in checks]
     return records
 

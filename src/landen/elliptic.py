@@ -129,7 +129,7 @@ def complete_elliptic_k(m, *, dtype=np.float64):
     accurate to a few ulp.  Each element equals the scalar call at that m:
     one AGM chain serves every m (see _agm_chain).
     """
-    m = _validate_m(m, below_one=True,
+    m = _validate_m(m, below_one=True, array=True,
                     what="the parameter m of K(m) (divergent at m = 1)")
     dtype = np.dtype(dtype)
     a, _, n = _agm_chain(m, dtype)
@@ -196,7 +196,7 @@ def jacobi_eval(x, m, *, dtype=np.float64):
     EllipticTriple
         Scalars for scalar x and m, arrays of the broadcast shape otherwise.
     """
-    m = np.asarray(_validate_m(m))
+    m = np.asarray(_validate_m(m, array=True))
     dtype = np.dtype(dtype)
     scalar = np.ndim(x) == 0 and m.ndim == 0
     x = np.asarray(x, dtype=dtype)

@@ -142,19 +142,23 @@ class _CoefficientSet(namedtuple("_CoefficientSet",
     __slots__ = ()
 
 
-def _validate_m(m, *, below_one=False, above_zero=False, what="parameter m"):
-    """m as a float (an array m as a float64 array), or ValueError unless
-    every value lies in [0, 1].
+def _validate_m(m, *, below_one=False, above_zero=False, what="parameter m", array=False):
+    """m as a float (with array, an array m as a float64 array), or
+    ValueError unless every value lies in [0, 1].
 
     below_one and above_zero open the interval at that end; `what` names
     the quantity in the message, which quotes the first value outside it.
-    NaN and +-inf fail every interval.  Only an m that is not a real
+    NaN and +-inf fail every interval.  Without array, an m with a shape
+    is refused; a 0-d array is a scalar.  Only an m that is not a real
     number (an array, a list) imports numpy.
     """
     if not isinstance(m, numbers.Real):
         import numpy as np
 
         if np.ndim(m):
+            if not array:
+                raise ValueError(
+                    f"{what} must be a scalar, got an array of shape {np.shape(m)}")
             values = np.asarray(m, dtype=np.float64)
             ok = ((values > 0.0 if above_zero else values >= 0.0)
                   & (values < 1.0 if below_one else values <= 1.0))

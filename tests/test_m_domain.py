@@ -2,12 +2,15 @@
 
 Each entry point accepts the interior of its interval and the ends it
 includes, and rejects NaN, +-inf, -0.5, 1.5 and the ends it excludes with
-a ValueError that names the interval.
+a ValueError that names the interval.  The array kernels broadcast over an
+array m; every other entry point takes one m and refuses an array with a
+ValueError that names its shape.
 """
 
 import math
 import re
 
+import numpy as np
 import pytest
 
 from landen import (Family, LandenSpec, SolutionFamily, SolutionKind, a5_product,
@@ -46,6 +49,9 @@ ENTRY_POINTS = {
     "SolutionFamily": (lambda m: SolutionFamily(SolutionKind.DN_ODD, 3, m), CLOSED),
 }
 
+BROADCASTS = {"jacobi_eval", "complete_elliptic_k", "classic_m_tilde", "classic_sn",
+              "classic_cn", "classic_dn", "classic_dn_two_term"}
+
 # which of the ends m = 0 and m = 1 each interval includes
 ENDS = {CLOSED: {0.0, 1.0}, BELOW_ONE: {0.0}, OPEN: set()}
 
@@ -59,3 +65,20 @@ def test_accepts_exactly_its_interval(name, m):
     else:
         with pytest.raises(ValueError, match=re.escape(f"must lie in {interval}, got")):
             call(m)
+
+
+@pytest.mark.parametrize("m", [np.array([0.5, 0.6]), np.array([0.5]), np.array(0.5)],
+                         ids=lambda m: f"shape{m.shape}")
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_array_m(name, m):
+    call = ENTRY_POINTS[name][0]
+    if name in BROADCASTS:
+        result = call(m)
+        values = result if isinstance(result, tuple) else [result]
+        assert all(np.shape(value) == m.shape for value in values)
+    elif m.ndim:
+        with pytest.raises(ValueError, match=re.escape(f"must be a scalar, got an array of "
+                                                       f"shape {m.shape}")):
+            call(m)
+    else:
+        call(m)
