@@ -23,10 +23,13 @@ a second route, :func:`sum_route_m_tilde`, which verify checks against the
 first.  For p = 2 every family collapses to the classical quadratic map of
 :mod:`landen.classic`.
 
-The shifted combination itself (signed sum or product of the p terms) is
-built in one place, used both for the right-hand sides here and for the
-superposed solutions psi of :mod:`landen.sine_gordon`, which are the same
-combinations with other scale factors.
+The p shifted terms on a grid and their combination (signed sum or
+product) come from one function, _p_term_rows: rows of one p, each with
+its own argument scale and m, in one jacobi_eval call, combined per group
+of rows.  It serves the right-hand sides here (transform_rhs and the
+identity batch) and the superposed solutions psi of
+:mod:`landen.sine_gordon`, which are the same combinations with other
+scale factors.
 
 Batches: the argument scale, the shift step and m~ depend on (p, m) alone,
 and jacobi_eval takes an array m.  So verify's family scope checks each p
@@ -246,16 +249,28 @@ def _combine(spec, terms, m, derivative=False):
     return _csum(signed(rows)), _csum(signed(slope()))
 
 
+def _p_term_rows(p, inners, ms, xs, groups, derivative=False):
+    """The p shifted terms of rows j at inners[j] * xs[j] and parameter ms[j]
+    (0 <= m < 1), in one _shifted_eval call, and their combinations.
+
+    The xs share one shape.  Each (spec, rows) of groups, rows an index or a
+    slice of the rows, gives one _combine over those rows' terms.  Returns
+    ([combination per group], (sn, cn, dn) of shape (p, rows) + x shape);
+    every value is bit-identical to a call for its row alone.
+    """
+    xs = np.array(xs, dtype=_LD)
+    shape = (-1,) + (1,) * (xs.ndim - 1)
+    ms = np.reshape(ms, shape)
+    terms = _shifted_eval(np.reshape(np.array(inners, dtype=_LD), shape) * xs, p, ms)
+    return [_combine(spec, [t[:, rows] for t in terms], ms[rows], derivative)
+            for spec, rows in groups], terms
+
+
 def _normalised(raw, spec, combo):
     """The combination scaled to compare with the single function at m~."""
     if spec.family is Family.SN and not spec.odd:
         return combo / (raw.a_sum * raw.alpha)
     return raw.alpha * combo
-
-
-def _rhs_from_raw(raw, spec, m, x):
-    terms = _shifted_eval(raw.arg_scale * np.asarray(x, dtype=_LD), spec.p, m)
-    return _normalised(raw, spec, _combine(spec, terms, m))
 
 
 def transform_rhs(spec: LandenSpec, m, x):
@@ -272,8 +287,8 @@ def transform_rhs(spec: LandenSpec, m, x):
                     what="parameter m of a right-hand side (its shift step diverges at m = 1)")
     scalar = np.ndim(x) == 0
     raw = _raw_coefficients(spec, m)
-    value = _rhs_from_raw(raw, spec, m, x)
-    value = np.asarray(value, dtype=np.float64)
+    [combo], _ = _p_term_rows(spec.p, [raw.arg_scale], [m], [x], [(spec, 0)])
+    value = np.asarray(_normalised(raw, spec, combo), dtype=np.float64)
     return value[()] if scalar else value
 
 
@@ -307,10 +322,11 @@ def _identity_residuals(p, ms, grid_points, families):
     Returns ({family: [IdentityResidual per m]}, [m~ per m], (sn, cn, dn)
     at x = 0: the p shift points, shape (p, m)).  The arg scale s, the shift
     step and m~ depend on (p, m) alone, so all families share one grid per
-    period width (dn's [0, 2 K~], and cn's and sn's [0, 4 K~]).  One
-    jacobi_eval over (p, m, grid, x) gives every right-hand side and one
-    over (m, grid, x) at the m~ values every left-hand side; each residual
-    is bit-identical to the cell's own scalar-m evaluation.
+    period width (dn's [0, 2 K~], and cn's and sn's [0, 4 K~]).  The rows
+    are (width, m), width-major, and each family combines the block of its
+    width: one _p_term_rows call gives every right-hand side and one
+    jacobi_eval at the m~ values every left-hand side; each residual is
+    bit-identical to the cell's own scalar-m evaluation.
     """
     specs = [LandenSpec(family, p) for family in families]
     raws = {spec: [_raw_coefficients(spec, m) for m in ms] for spec in specs}
@@ -318,26 +334,23 @@ def _identity_residuals(p, ms, grid_points, families):
     shared = raws[specs[0]]
     m_tildes = [float(raw.m_tilde) for raw in shared]
     widths = sorted({_period_width(family) for family in families})
-    spans = [[width * float(raw.big_k_tilde) for width in widths] for raw in shared]
-    xs = np.array([[np.linspace(0.0, span, grid_points) for span in row] for row in spans],
-                  dtype=_LD)
+    blocks = {width: slice(g * len(ms), (g + 1) * len(ms)) for g, width in enumerate(widths)}
+    spans = [width * float(raw.big_k_tilde) for width in widths for raw in shared]
+    xs = np.array([np.linspace(0.0, span, grid_points) for span in spans], dtype=_LD)
 
-    def per_m(values):
-        return np.array(values).reshape(-1, 1, 1)
-
-    scale = per_m([raw.arg_scale for raw in shared]).astype(_LD)
-    rhs_terms = _shifted_eval(scale * xs, p, per_m(ms))
-    lhs = jacobi_eval(xs, per_m(m_tildes), dtype=_LD)
+    combos, terms = _p_term_rows(
+        p, [raw.arg_scale for raw in shared] * len(widths), list(ms) * len(widths), xs,
+        [(spec, blocks[_period_width(spec.family)]) for spec in specs])
+    lhs = jacobi_eval(xs, np.reshape(m_tildes * len(widths), (-1, 1)), dtype=_LD)
 
     residuals = {}
-    for spec in specs:
-        g = widths.index(_period_width(spec.family))
-        combo = _combine(spec, [t[:, :, g] for t in rhs_terms], m=None)
-        single = getattr(lhs, spec.family.value)[:, g]
+    for spec, combo in zip(specs, combos):
+        block = blocks[_period_width(spec.family)]
+        single = getattr(lhs, spec.family.value)[block]
         residuals[spec.family] = [
-            _residual(_normalised(raw, spec, combo[j]), single[j], span[g])
-            for j, (raw, span) in enumerate(zip(raws[spec], spans))]
-    return residuals, m_tildes, [t[:, :, 0, 0] for t in rhs_terms]
+            _residual(_normalised(raw, spec, rhs), lhs_j, span)
+            for raw, rhs, lhs_j, span in zip(raws[spec], combo, single, spans[block])]
+    return residuals, m_tildes, [t[:, :len(ms), 0] for t in terms]
 
 
 def _residual(rhs, lhs, span):

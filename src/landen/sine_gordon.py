@@ -42,8 +42,7 @@ from enum import Enum
 import numpy as np
 
 from .elliptic import _PI, jacobi_eval
-from .general import (_LD, Family, LandenSpec, _combine, _period_width, _raw_coefficients,
-                      _shifted_eval)
+from .general import _LD, Family, LandenSpec, _p_term_rows, _period_width, _raw_coefficients
 from .nome import _open_at_zero, _validate_m
 
 __all__ = [
@@ -115,7 +114,9 @@ class SolutionFamily(namedtuple("SolutionFamily", "kind p m")):
             raise ValueError(
                 f"{kind.value} requires {'odd' if odd else 'even'} "
                 f"p, got p = {p}")
-        return super().__new__(cls, kind, p, _validate_m(m))
+        # odd cn divides its inner scale by sqrt(m): m = 0 has no solution
+        m = _validate_m(m, above_zero=family is Family.CN and odd)
+        return super().__new__(cls, kind, p, m)
 
     @classmethod
     def _make(cls, iterable):
@@ -184,8 +185,8 @@ class OdeResidual(namedtuple("OdeResidual", "max_abs step")):
 
 def _pieces(fam: SolutionFamily):
     """(prefactor, inner) of psi = prefactor * combo(inner x), where combo
-    is the family's combination of the p shifted terms (general._combine
-    of general._shifted_eval)."""
+    is the family's combination of the p shifted terms
+    (general._p_term_rows)."""
     m, raw = fam.m, fam._raw
     if fam.family is Family.SN and fam.spec.odd:
         # only the inner scale a1 and the prefactor sqrt(m) a1 enter; at
@@ -195,18 +196,13 @@ def _pieces(fam: SolutionFamily):
         prefactor = _LD.type(m) ** (_LD.type(fam.p) / 2) * raw.alpha * raw.a_sum
         inner = raw.alpha
     elif fam.family is Family.CN and fam.spec.odd:
-        prefactor = raw.alpha
-        inner = raw.alpha / np.sqrt(_LD.type(m)) if m > 0 else math.nan
+        prefactor, inner = raw.alpha, raw.alpha / np.sqrt(_LD.type(m))
     else:
         # dn kinds and the alternating cn kind.  Even cn takes the inner
         # scale alpha4, not the plain-sum alpha2: with alpha2 inside, the
         # alternating superposition fails the field equation (C is not
         # constant along x), while alpha4 reproduces cn(x/sqrt(m~), m~).
         prefactor, inner = raw.alpha, raw.alpha
-    if not (np.isfinite(float(prefactor)) and np.isfinite(float(inner))):
-        raise ValueError(
-            f"{fam.kind.value} superposition degenerates at m = {m!r}: "
-            "normalization diverges")
     return prefactor, inner
 
 
@@ -214,34 +210,28 @@ def _psi_rows(fams, xs):
     """[(psi, dpsi) of fams[j] at xs[j]], in extended precision, for
     solutions of one p and of any kinds.
 
-    The xs share one shape.  The shifted terms of every solution with m < 1
-    come from one _shifted_eval call with an array m, and each solution's
-    row combines its own terms (_combine), bit-identical to a call for that
-    solution alone.  At the separatrix m = 1, jacobi_eval gives (tanh, sech,
-    sech): psi = tanh, psi' = sech^2 for the sn kinds, psi = sech,
-    psi' = -sech tanh for the others.
+    The xs share one shape.  Every solution with m < 1 is one row of one
+    general._p_term_rows call, and one group of its own there, so each row
+    is bit-identical to a call for that solution alone.  At the separatrix
+    m = 1, jacobi_eval gives (tanh, sech, sech): psi = tanh, psi' = sech^2
+    for the sn kinds, psi = sech, psi' = -sech tanh for the others.
     """
-    xs = [np.asarray(x, dtype=_LD) for x in xs]
     rows = [None] * len(fams)
     batch = []
     for j, (fam, x) in enumerate(zip(fams, xs)):
         if fam.m != 1.0:
             batch.append(j)
             continue
-        tanh, _, sech = jacobi_eval(x, 1.0, dtype=_LD)
+        tanh, _, sech = jacobi_eval(np.asarray(x, dtype=_LD), 1.0, dtype=_LD)
         rows[j] = (tanh, sech * sech) if fam.family is Family.SN else (sech, -sech * tanh)
     if batch:
         prefactors, inners = zip(*(_pieces(fams[j]) for j in batch))
-
-        def per_solution(values):
-            return np.array(values).reshape((-1,) + (1,) * xs[0].ndim)
-
-        args = per_solution(inners).astype(_LD) * np.stack([xs[j] for j in batch])
-        terms = _shifted_eval(args, fams[0].p, per_solution([fams[j].m for j in batch]))
-        for i, j in enumerate(batch):
-            combo, slope = _combine(fams[j].spec, [t[:, i] for t in terms], fams[j].m,
-                                    derivative=True)
-            rows[j] = prefactors[i] * combo, prefactors[i] * inners[i] * slope
+        combos, _ = _p_term_rows(fams[0].p, inners, [fams[j].m for j in batch],
+                                 [xs[j] for j in batch],
+                                 [(fams[j].spec, i) for i, j in enumerate(batch)],
+                                 derivative=True)
+        for j, prefactor, inner, (combo, slope) in zip(batch, prefactors, inners, combos):
+            rows[j] = prefactor * combo, prefactor * inner * slope
     return rows
 
 

@@ -745,8 +745,9 @@ def bare_imports():
     return _imports("-c", "pass")
 
 
-# argv of landen commands with which of numpy, dataclasses, inspect and json
-# each imports: a scalar command writes JSON only in coeffs
+# argv of landen commands with which of numpy, dataclasses, inspect, json
+# and scipy each imports: a scalar command writes JSON only in coeffs, and
+# scipy is a test-only dependency that no command loads
 COLD_IMPORTS = [
     (["coeffs", "--family", "dn", "--p", "7", "--m", "0.1"], {"json"}),
     (["table", "--format", "full"], set()),
@@ -756,12 +757,14 @@ COLD_IMPORTS = [
     # numpy imports inspect, so the probe is live for all but dataclasses
     (["sg-check", "--family", "dn", "--p", "2", "--m", "0.5", "--grid", "64"],
      {"numpy", "inspect", "json"}),
+    (["verify", "--scope", "all"], {"numpy", "inspect", "json"}),
+    (["sg-check", "--family", "cn", "--p", "3", "--m", "0.9"], {"numpy", "inspect", "json"}),
 ]
 
 
 @pytest.mark.parametrize("argv,loaded", COLD_IMPORTS)
 def test_scalar_commands_import_no_record_machinery(argv, loaded, bare_imports):
-    watched = {"numpy", "dataclasses", "inspect", "json"} - bare_imports
+    watched = {"numpy", "dataclasses", "inspect", "json", "scipy"} - bare_imports
     assert _imports("-m", "landen", *argv) & watched == loaded & watched
 
 

@@ -13,7 +13,7 @@ from landen import general, nome
 from landen.classic import classic_dn_two_term, classic_m_tilde
 from landen.elliptic import complete_elliptic_k, jacobi_eval
 from landen.general import (CN_EVEN_MIN_M, AlternatingSumDegenerateError, Family,
-                            LandenSpec, _csum, _raw_coefficients, _rhs_from_raw,
+                            LandenSpec, _csum, _p_term_rows, _raw_coefficients,
                             a5_product, coefficients,
                             m_tilde_closed_p3, m_tilde_closed_p4, sum_route_m_tilde,
                             transform_rhs, verify_identity)
@@ -359,6 +359,14 @@ def rhs_per_term(s, m, x):
     return value
 
 
+def rhs_row(s, m, x):
+    """transform_rhs before its rounding to float64: the cell as one row of
+    _p_term_rows."""
+    raw = _raw_coefficients(s, m)
+    [combo], _ = _p_term_rows(s.p, [raw.arg_scale], [m], [x], [(s, 0)])
+    return general._normalised(raw, s, combo)
+
+
 def neumaier_sum(terms):
     """Neumaier's compensated sum, its error from the |acc| >= |t| branch:
     the reference _csum matches bit for bit."""
@@ -419,10 +427,9 @@ def test_transform_rhs_bitwise_equals_per_term_loop(family):
     for p in range(2, 8):
         for m in M_GRID:
             s = spec(family, p)
-            raw = _raw_coefficients(s, m)
             for x in (xs, 0.37):
                 ref = rhs_per_term(s, m, x)
-                assert np.array_equal(_rhs_from_raw(raw, s, m, x), ref)
+                assert np.array_equal(rhs_row(s, m, x), ref)
                 assert np.array_equal(transform_rhs(s, m, x),
                                       np.asarray(ref, dtype=np.float64))
 
@@ -464,7 +471,7 @@ def identity_per_cell(s, m, grid_points):
     raw = _raw_coefficients(s, m)
     width = 2.0 if s.family is Family.DN else 4.0
     xs = np.linspace(0.0, width * float(raw.big_k_tilde), grid_points)
-    rhs = _rhs_from_raw(raw, s, m, xs)
+    rhs = rhs_row(s, m, xs)
     single = jacobi_eval(xs.astype(LD), float(raw.m_tilde), dtype=LD)
     diff = np.abs(np.asarray(getattr(single, s.family.value) - rhs, dtype=np.float64))
     return float(diff.max()), float(diff.mean())

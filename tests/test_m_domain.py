@@ -19,7 +19,7 @@ from landen import (Family, LandenSpec, SolutionFamily, SolutionKind, a5_product
                     jacobi_oracle, m_tilde_closed_p3, m_tilde_closed_p4, sum_route_m_tilde,
                     transform_rhs, verify_identity)
 
-CLOSED, BELOW_ONE, OPEN = "[0, 1]", "[0, 1)", "(0, 1)"
+CLOSED, BELOW_ONE, OPEN, ABOVE_ZERO = "[0, 1]", "[0, 1)", "(0, 1)", "(0, 1]"
 
 ENTRY_POINTS = {
     "jacobi_eval": (lambda m: jacobi_eval(0.3, m), CLOSED),
@@ -47,13 +47,15 @@ ENTRY_POINTS = {
     "m_tilde_closed_p3": (m_tilde_closed_p3, OPEN),
     "m_tilde_closed_p4": (m_tilde_closed_p4, OPEN),
     "SolutionFamily": (lambda m: SolutionFamily(SolutionKind.DN_ODD, 3, m), CLOSED),
+    # odd cn divides by sqrt(m); odd sn stays closed (psi = 0 at m = 0)
+    "SolutionFamily cn-odd": (lambda m: SolutionFamily(SolutionKind.CN_ODD, 3, m), ABOVE_ZERO),
 }
 
 BROADCASTS = {"jacobi_eval", "complete_elliptic_k", "classic_m_tilde", "classic_sn",
               "classic_cn", "classic_dn", "classic_dn_two_term"}
 
 # which of the ends m = 0 and m = 1 each interval includes
-ENDS = {CLOSED: {0.0, 1.0}, BELOW_ONE: {0.0}, OPEN: set()}
+ENDS = {CLOSED: {0.0, 1.0}, BELOW_ONE: {0.0}, OPEN: set(), ABOVE_ZERO: {1.0}}
 
 
 @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf, -0.5, 1.5, 0.0, 1.0, 0.5])

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
-GROUPS = ("verify", "verify-records", "sg-check", "sine-gordon", "coeffs-table", "elliptic",
-          "demos")
+GROUPS = ("verify", "verify-records", "general", "sg-check", "sine-gordon", "coeffs-table",
+          "elliptic", "demos")
 
 
 @pytest.fixture(scope="module")

@@ -449,11 +449,16 @@ def test_closed_form_c_equals_the_printed_formulas(family, p):
     # closed_form_c reads C from m~ alone; with the sum constants solved from
     # each family's m~ formula the printed combinations give the same float
     for m in (0.0, 1e-12, 1e-6, 1e-3, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999999, 1.0):
+        if m == 0.0 and solution_kind(family, p) is SolutionKind.CN_ODD:
+            # odd cn has no solution at m = 0 to ask for its C
+            with pytest.raises(ValueError, match=re.escape("must lie in (0, 1], got 0.0")):
+                SolutionFamily(SolutionKind.CN_ODD, p, m)
+            continue
         fam = SolutionFamily(solution_kind(family, p), p, m)
         if fam.kind in (SolutionKind.DN_EVEN, SolutionKind.CN_EVEN_ALT):
             with pytest.raises(NoClosedFormError):
                 closed_form_c(fam)
-        elif m == 0.0 and fam.kind in (SolutionKind.CN_ODD, SolutionKind.SN_ODD):
+        elif m == 0.0 and fam.kind is SolutionKind.SN_ODD:
             with pytest.raises(ValueError, match="closed-form C"):
                 closed_form_c(fam)
         else:

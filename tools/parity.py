@@ -21,6 +21,8 @@ FAMILIES = ("dn", "cn", "sn")
 SG_CELLS = ([(f, p, m) for f in FAMILIES for p in range(2, 8)
              for m in (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)]
             + [(f, p, m) for f in FAMILIES for p in (2, 3, 4, 7) for m in (0.0, 1.0, 1e-300)])
+# verify's M_GRID and m = 0
+GENERAL_M = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
 COEFFS_M = (0.0, 1e-12, 1e-6, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 0.9999, 1.0)
 # tests/test_elliptic.py's ARRAY_M: chains 1 to 8 levels deep, m = 0 and 1
 ARRAY_M = np.array([0.3, 1e-8, 0.0, 1e-12, 0.01, 0.1, 0.5, 1.0, 0.9, 0.999, 1 - 1e-13,
@@ -58,14 +60,27 @@ def capture(call):
 
 def dump():
     import landen
-    from landen import (SolutionFamily, complete_elliptic_k, default_samples, first_integral,
-                        jacobi_eval, psi_derivative, psi_value, solution_kind, solution_period)
+    from landen import (Family, LandenSpec, SolutionFamily, a5_product, complete_elliptic_k,
+                        default_samples, first_integral, jacobi_eval, m_tilde_closed_p3,
+                        m_tilde_closed_p4, psi_derivative, psi_value, solution_kind,
+                        solution_period, sum_route_m_tilde, transform_rhs, verify_identity)
     from landen.cli import main
 
     def cli(*commands):
         return {command: capture(lambda: main(command.split())) for command in commands}
     verify = cli(*(f"verify --scope {scope}{grid}" for scope in SCOPES
                    for grid in ("", " --grid 16 --tol 1e-15")))
+    cell = (lambda spec, m: transform_rhs(spec, m, np.linspace(-5, 9, 23)),
+            lambda spec, m: transform_rhs(spec, m, 0.37),
+            lambda spec, m: verify_identity(spec, m, 16),
+            lambda spec, m: verify_identity(spec, m, 128), sum_route_m_tilde)
+    general = {f"{f} {p} {m!r}": [capture(lambda: call(LandenSpec(Family(f), p), m))
+                                  for call in cell]
+               for f in FAMILIES for p in range(2, 8) for m in GENERAL_M}
+    general |= {f"a5_product {p} {m!r}": capture(lambda: a5_product(p, m))
+                for p in (2, 4, 6) for m in GENERAL_M}
+    general |= {f"{fn.__name__} {m!r}": capture(lambda: fn(m))
+                for fn in (m_tilde_closed_p3, m_tilde_closed_p4) for m in GENERAL_M}
     functions = (lambda fam: psi_value(fam, np.linspace(-3, 3, 17)),
                  lambda fam: psi_derivative(fam, 0.3),
                  lambda fam: first_integral(fam, default_samples(fam, 65)), solution_period)
@@ -84,6 +99,7 @@ def dump():
         "verify": verify,
         "verify-records": {json.dumps([r["check"], r.get("p"), r["m"]]): r for r in
                            json.loads(verify["verify --scope all"][1] or "{}").get("results", [])},
+        "general": general,
         "sg-check": cli(*(f"sg-check --family {f} --p {p} --m {m!r}" for f, p, m in SG_CELLS)),
         "sine-gordon": {f"{f} {p} {m!r}": [
             capture(lambda: call(SolutionFamily(solution_kind(f, p), p, m))) for call in functions]
