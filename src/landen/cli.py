@@ -7,6 +7,10 @@ benchmark's tracer) sees every call its :func:`main` makes.  ``main`` is
 ``python -m landen``, which routes every command and comes to this module
 only for ``verify`` and ``sg-check``, so ``coeffs``, ``table`` and
 ``eval`` run there without numpy.
+
+Both commands read the first integrals of the sine-Gordon solutions
+through one function, _first_integral_checks: verify writes its readings
+as records, and sg-check gates on the same readings.
 """
 
 from __future__ import annotations
@@ -89,26 +93,32 @@ def _family_records(grid: int, tol: float):
     return records
 
 
-def _first_integral_routes(fams):
+def _first_integral_checks(fams):
     """What verify and sg-check read off the first integrals of solutions of
     one p, from one evaluation: per solution (value, closed-form C or None,
-    classify(C), general m~).  NotMeasurableError passes through.
+    classify(value), readings).  readings holds verify's record values by
+    check name: c-constancy (the spread relative to max(1, |C|)), c-range,
+    c-closed-form where a closed form exists, and implied-m-tilde (inf where
+    classify finds no real solution).  NotMeasurableError passes through.
     """
-    routes = []
+    checks = []
     for fam, value in zip(fams, first_integrals(fams, [default_samples(fam) for fam in fams])):
+        c, verdict = value.c, classify(value)
         try:
             closed = closed_form_c(fam)
         except NoClosedFormError:
             closed = None
-        routes.append((value, closed, classify(value), fam.m_tilde))
-    return routes
-
-
-def _c_constancy(value):
-    """How far C moves along the solution: its spread relative to
-    max(1, |C|), the reading of verify's c-constancy record and of
-    sg-check's spread gate."""
-    return value.spread / max(1.0, abs(value.c))
+        readings = {"c-constancy": value.spread / max(1.0, abs(c)),
+                    "c-range": (max(0.0, 2.0 - c) if fam.family is Family.CN
+                                else max(0.0, -2.0 - c, c - 2.0))}
+        if closed is not None:
+            readings["c-closed-form"] = abs(c - closed) / max(1.0, abs(c))
+        # absolute comparison: the implied value (C + 2) / 4 cannot
+        # resolve parameters below ~1e-16 out of a float C near -2
+        readings["implied-m-tilde"] = (math.inf if verdict.m_tilde is None
+                                       else abs(verdict.m_tilde - fam.m_tilde))
+        checks.append((value, closed, verdict, readings))
+    return checks
 
 
 def _sine_gordon_records(tol: float):
@@ -118,20 +128,9 @@ def _sine_gordon_records(tol: float):
     for p in range(2, 8):
         fams = [SolutionFamily(solution_kind(family, p), p, m)
                 for m in M_GRID for family in Family]
-        for fam, (value, closed, verdict, target) in zip(fams, _first_integral_routes(fams)):
-            c = value.c
-            if fam.family is Family.CN:
-                violation = max(0.0, 2.0 - c)
-            else:
-                violation = max(0.0, -2.0 - c, c - 2.0)
-            checks = [("c-constancy", _c_constancy(value)), ("c-range", violation)]
-            if closed is not None:
-                checks.append(("c-closed-form", abs(c - closed) / max(1.0, abs(c))))
-            # absolute comparison: the implied value (C + 2) / 4 cannot
-            # resolve parameters below ~1e-16 out of a float C near -2
-            checks.append(("implied-m-tilde", abs(verdict.m_tilde - target)))
-            records += [_record(f"{check}-{fam.kind.value}", p, fam.m, value, tol)
-                        for check, value in checks]
+        records += [_record(f"{check}-{fam.kind.value}", p, fam.m, reading, tol)
+                    for fam, (*_, readings) in zip(fams, _first_integral_checks(fams))
+                    for check, reading in readings.items()]
     return records
 
 
@@ -164,20 +163,19 @@ def cmd_sg_check(args) -> int:
     kind = solution_kind(args.family, args.p)
     try:
         fam = SolutionFamily(kind, args.p, args.m)
-        [(value, closed, verdict, target)] = _first_integral_routes([fam])
+        [(value, closed, verdict, readings)] = _first_integral_checks([fam])
         ode = ode_residual(fam, args.grid)
     except (AlternatingSumDegenerateError, NotMeasurableError) as exc:
         _emit(_json_doc({"status": "Degenerate", "reason": str(exc)}), args.out)
         return 2
-    implied = verdict.m_tilde
-    diff = abs(implied - target) if implied is not None else math.inf
-    ok = ode.max_abs <= args.tol and diff <= 1e-8 and _c_constancy(value) <= args.tol
+    ok = (ode.max_abs <= args.tol and readings["implied-m-tilde"] <= 1e-8
+          and readings["c-constancy"] <= args.tol)
     doc = {"tool_version": __version__, "command": "sg-check",
            "parameters": {"family": args.family, "p": args.p, "m": args.m,
                           "grid": args.grid, "tol": args.tol},
            "results": [{"kind": kind.value, "c": value.c, "c_spread": value.spread,
                         "closed_form_c": closed, "branch": verdict.branch.value,
-                        "implied_m_tilde": implied, "general_m_tilde": target,
+                        "implied_m_tilde": verdict.m_tilde, "general_m_tilde": fam.m_tilde,
                         "ode_max_abs": ode.max_abs, "ode_step": ode.step}],
            "status": "Pass" if ok else "Fail"}
     _emit(_json_doc(doc), args.out)

@@ -136,13 +136,13 @@ def sum_route_m_tilde(spec: LandenSpec, m) -> float:
     the printed formulas.  These cancel at small m and large p (dn at
     p = 7, m = 0.1 is 6.5e-7 relative off), so verify compares them with
     the nome route instead of using them.  Needs 0 < m < 1.  This is the
-    one-cell case of _sum_routes, on _shifted_eval's terms at x = 0.
+    one-cell case of _sum_routes, on _p_term_rows' terms at x = 0.
 
     Where a normalizing sum cancels to exactly 0 (the alternating dn sum of
     even cn at small m and large p) it raises ArithmeticError.
     """
     m = _validate_m(m, below_one=True, above_zero=True, what="sum-route parameter m")
-    terms = _shifted_eval(_LD.type(0), spec.p, m)
+    _, terms = _p_term_rows(spec.p, [1], [m], [0], [])
     try:
         with np.errstate(divide="raise", invalid="raise"):
             return _sum_routes(spec.p, [m], terms, (spec.family,))[spec.family][0]
@@ -186,32 +186,14 @@ def _sum_routes(p, ms, terms, families):
     return routes
 
 
-def _shifted_eval(args, p, m):
-    """(sn, cn, dn) at args + i step for i = 0..p-1, in one jacobi_eval call.
-
-    The step, 4K/p for odd p and 2K/p for even p, is formed here alone, from
-    jacobi_eval's own K(m): so the p shifts add up to exactly the period the
-    kernel folds by.  Shifts of the exact K would miss it by the kernel's
-    rounding of K, and the cancelling sums (odd cn at small m~) show it.
-
-    Row i of each returned array (shape ``(p,) + args.shape``) is the i-th
-    shifted term, so row-ordered sums and products keep the term order.
-    m (0 <= m < 1) is a scalar or an array that broadcasts against args, one
-    value per parameter of a batch, each element bit-identical to its call.
-    """
-    step = _LD.type(4 if p % 2 else 2) * complete_elliptic_k(m, dtype=_LD) / _LD.type(p)
-    shifts = np.arange(p, dtype=_LD).reshape((-1,) + (1,) * np.ndim(args)) * step
-    return jacobi_eval(args + shifts, m, dtype=_LD)
-
-
 def _alternate(rows):
     """Rows with every odd-indexed one negated: the (-1)^i term signs."""
     return [-row if i % 2 else row for i, row in enumerate(rows)]
 
 
 def _combine(spec, terms, m, derivative=False):
-    """The family's combination of the shifted terms (sn, cn, dn) from
-    _shifted_eval, along the term axis.
+    """The family's combination of the shifted terms (sn, cn, dn) of
+    _p_term_rows, along the term axis.
 
     Even sn multiplies its sn terms; every other family takes their
     compensated sum, of dn (dn, and even cn with alternating signs), cn
@@ -251,17 +233,28 @@ def _combine(spec, terms, m, derivative=False):
 
 def _p_term_rows(p, inners, ms, xs, groups, derivative=False):
     """The p shifted terms of rows j at inners[j] * xs[j] and parameter ms[j]
-    (0 <= m < 1), in one _shifted_eval call, and their combinations.
+    (0 <= m < 1), in one jacobi_eval call, and their combinations.
+
+    The terms sit at inners[j] * xs[j] + i step, i = 0..p-1, with the step
+    4K/p for odd p and 2K/p for even p.  The step is formed here alone, from
+    jacobi_eval's own K(m): so the p shifts add up to exactly the period the
+    kernel folds by.  Shifts of the exact K would miss it by the kernel's
+    rounding of K, and the cancelling sums (odd cn at small m~) show it.
 
     The xs share one shape.  Each (spec, rows) of groups, rows an index or a
     slice of the rows, gives one _combine over those rows' terms.  Returns
     ([combination per group], (sn, cn, dn) of shape (p, rows) + x shape);
-    every value is bit-identical to a call for its row alone.
+    row i of the term axis is the i-th shifted term, so row-ordered sums and
+    products keep the term order, and every value is bit-identical to a call
+    for its row alone.
     """
     xs = np.array(xs, dtype=_LD)
     shape = (-1,) + (1,) * (xs.ndim - 1)
     ms = np.reshape(ms, shape)
-    terms = _shifted_eval(np.reshape(np.array(inners, dtype=_LD), shape) * xs, p, ms)
+    step = _LD.type(4 if p % 2 else 2) * complete_elliptic_k(ms, dtype=_LD) / _LD.type(p)
+    shifts = np.arange(p, dtype=_LD).reshape((-1,) + (1,) * xs.ndim) * step
+    args = np.reshape(np.array(inners, dtype=_LD), shape) * xs + shifts
+    terms = jacobi_eval(args, ms, dtype=_LD)
     return [_combine(spec, [t[:, rows] for t in terms], ms[rows], derivative)
             for spec, rows in groups], terms
 
@@ -386,7 +379,8 @@ def m_tilde_closed_p4(m):
     """
     m = _validate_m(m, below_one=True, above_zero=True, what="closed-form parameter m")
     t = _LD.type(1.0 - m) ** _LD.type(0.25)
-    _, half, full, three_half = _shifted_eval(_LD.type(0), 4, m).dn
+    _, terms = _p_term_rows(4, [1], [m], [0], [])
+    _, half, full, three_half = terms.dn[:, 0]
     worst = max(abs(float(half - t)), abs(float(three_half - t)),
                 abs(float(full - t * t)))
     if worst >= 1e-12:
@@ -406,4 +400,5 @@ def a5_product(p: int, m):
     if LandenSpec(Family.SN, p).odd:
         raise ValueError(f"a5_product requires an even p, got {p!r}")
     m = _validate_m(m, below_one=True, what="a5_product parameter m")
-    return float(np.prod(_shifted_eval(_LD.type(0), p, m).sn[1:]))
+    _, terms = _p_term_rows(p, [1], [m], [0], [])
+    return float(np.prod(terms.sn[1:]))

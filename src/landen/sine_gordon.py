@@ -43,7 +43,7 @@ import numpy as np
 
 from .elliptic import _PI, jacobi_eval
 from .general import _LD, Family, LandenSpec, _p_term_rows, _period_width, _raw_coefficients
-from .nome import _open_at_zero, _validate_m
+from .nome import _validate_m
 
 __all__ = [
     "SolutionKind",
@@ -334,16 +334,14 @@ def closed_form_c(fam: SolutionFamily) -> float:
     The paper prints C for the dn-odd, cn-odd, sn-odd and sn-even-product
     kinds as combinations of the coefficients (dn odd: -2 + 4 (m - 2) a1^2
     + 8 a1^3 A1).  With each sum constant solved from its family's m~
-    formula those reduce to the forms above, to the last bit.  The odd cn
-    and sn kinds need m > 0.  The even dn and alternating cn kinds, which
-    the paper gives only a range, raise NoClosedFormError.
+    formula those reduce to the forms above, to the last bit.  Odd sn at
+    m = 0 (psi = 0, m~ = 0) gives -2.  The even dn and alternating cn kinds,
+    which the paper gives only a range, raise NoClosedFormError.
     """
-    family, spec = fam.family, fam.spec
-    if not spec.odd and family is not Family.SN:
+    family = fam.family
+    if not fam.spec.odd and family is not Family.SN:
         raise NoClosedFormError(
             f"no closed-form C for {fam.kind.value}; only the range is known")
-    _validate_m(fam.m, above_zero=_open_at_zero(spec),
-                what=f"m of the closed-form C for {fam.kind.value}")
     m_tilde = fam._raw.m_tilde
     return float(4 / m_tilde - 2 if family is Family.CN else 4 * m_tilde - 2)
 

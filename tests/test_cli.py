@@ -502,16 +502,15 @@ class TestSgCheck:
 
     def test_spread_alone_fails(self, capsys, monkeypatch):
         # verify's c-constancy rule: spread / max(1, |C|) <= --tol
-        routes = cli._first_integral_routes
+        measured = cli.first_integrals
 
-        def spread_out(fams):
-            [(value, closed, verdict, target)] = routes(fams)
-            wide = value._replace(spread=2e-6 * max(1.0, abs(value.c)))
-            return [(wide, closed, verdict, target)]
+        def spread_out(fams, x_rows):
+            return [value._replace(spread=2e-6 * max(1.0, abs(value.c)))
+                    for value in measured(fams, x_rows)]
 
         code, out, _ = run_cli(capsys, "sg-check", "--family", "dn", "--p", "3", "--m", "0.5")
         assert code == 0 and json.loads(out)["status"] == "Pass"
-        monkeypatch.setattr(cli, "_first_integral_routes", spread_out)
+        monkeypatch.setattr(cli, "first_integrals", spread_out)
         code, out, _ = run_cli(capsys, "sg-check", "--family", "dn", "--p", "3", "--m", "0.5")
         doc = json.loads(out)
         assert code == 1 and doc["status"] == "Fail"

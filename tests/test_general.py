@@ -325,7 +325,7 @@ def test_m_tilde_decreasing_in_p(m, p):
 def shift_points(p, m):
     """The p shift points i 4K/p (odd p) or i 2K/p (even p), i = 0..p-1,
     with K = complete_elliptic_k(m) in longdouble: the reference for the
-    step that general._shifted_eval forms."""
+    step that general._p_term_rows forms."""
     step = (4 if p % 2 else 2) * complete_elliptic_k(m, dtype=LD) / LD(p)
     return step * np.arange(p, dtype=LD)
 

@@ -15,7 +15,7 @@ import pytest
 
 from landen import (Family, LandenSpec, SolutionFamily, SolutionKind, a5_product,
                     classic_cn, classic_dn, classic_dn_two_term, classic_m_tilde,
-                    classic_sn, coefficients, complete_elliptic_k, jacobi_eval,
+                    classic_sn, closed_form_c, coefficients, complete_elliptic_k, jacobi_eval,
                     jacobi_oracle, m_tilde_closed_p3, m_tilde_closed_p4, sum_route_m_tilde,
                     transform_rhs, verify_identity)
 
@@ -49,6 +49,8 @@ ENTRY_POINTS = {
     "SolutionFamily": (lambda m: SolutionFamily(SolutionKind.DN_ODD, 3, m), CLOSED),
     # odd cn divides by sqrt(m); odd sn stays closed (psi = 0 at m = 0)
     "SolutionFamily cn-odd": (lambda m: SolutionFamily(SolutionKind.CN_ODD, 3, m), ABOVE_ZERO),
+    "closed_form_c sn-odd": (lambda m: closed_form_c(SolutionFamily(SolutionKind.SN_ODD, 3, m)),
+                             CLOSED),
 }
 
 BROADCASTS = {"jacobi_eval", "complete_elliptic_k", "classic_m_tilde", "classic_sn",

@@ -293,6 +293,9 @@ class TestBatches:
                 assert r["max_abs"] == abs(classify(value).m_tilde - fam.m_tilde)
             else:
                 assert kind == "c-range"
+                c = value.c
+                assert r["max_abs"] == (max(0.0, 2.0 - c) if fam.family is Family.CN
+                                        else max(0.0, -2.0 - c, c - 2.0))
 
     def test_sine_gordon_scope_kernel_call_budget(self, tmp_path, monkeypatch):
         # one psi evaluation per p over its three kinds and six m: 6 kernel
@@ -459,8 +462,9 @@ def test_closed_form_c_equals_the_printed_formulas(family, p):
             with pytest.raises(NoClosedFormError):
                 closed_form_c(fam)
         elif m == 0.0 and fam.kind is SolutionKind.SN_ODD:
-            with pytest.raises(ValueError, match="closed-form C"):
-                closed_form_c(fam)
+            # psi = 0: the measured C is -2 exactly, as is the closed form
+            value = first_integral(fam, default_samples(fam))
+            assert closed_form_c(fam) == -2.0 == value.c
         else:
             assert closed_form_c(fam) == paper_c(fam)
 

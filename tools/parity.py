@@ -60,10 +60,11 @@ def capture(call):
 
 def dump():
     import landen
-    from landen import (Family, LandenSpec, SolutionFamily, a5_product, complete_elliptic_k,
-                        default_samples, first_integral, jacobi_eval, m_tilde_closed_p3,
-                        m_tilde_closed_p4, psi_derivative, psi_value, solution_kind,
-                        solution_period, sum_route_m_tilde, transform_rhs, verify_identity)
+    from landen import (Family, LandenSpec, SolutionFamily, a5_product, closed_form_c,
+                        complete_elliptic_k, default_samples, first_integral, jacobi_eval,
+                        m_tilde_closed_p3, m_tilde_closed_p4, psi_derivative, psi_value,
+                        solution_kind, solution_period, sum_route_m_tilde, transform_rhs,
+                        verify_identity)
     from landen.cli import main
 
     def cli(*commands):
@@ -83,7 +84,8 @@ def dump():
                 for fn in (m_tilde_closed_p3, m_tilde_closed_p4) for m in GENERAL_M}
     functions = (lambda fam: psi_value(fam, np.linspace(-3, 3, 17)),
                  lambda fam: psi_derivative(fam, 0.3),
-                 lambda fam: first_integral(fam, default_samples(fam, 65)), solution_period)
+                 lambda fam: first_integral(fam, default_samples(fam, 65)), solution_period,
+                 closed_form_c)
     elliptic = {}
     for dtype in (np.float64, np.longdouble):
         x = np.append(np.random.default_rng(25).uniform(-20, 20, 200), [0.0, -0.0]).astype(dtype)
