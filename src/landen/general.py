@@ -23,13 +23,16 @@ a second route, :func:`sum_route_m_tilde`, which verify checks against the
 first.  For p = 2 every family collapses to the classical quadratic map of
 :mod:`landen.classic`.
 
-The p shifted terms on a grid and their combination (signed sum or
-product) come from one function, _p_term_rows: rows of one p, each with
-its own argument scale and m, in one jacobi_eval call, combined per group
-of rows.  It serves the right-hand sides here (transform_rhs and the
-identity batch) and the superposed solutions psi of
-:mod:`landen.sine_gordon`, which are the same combinations with other
-scale factors.
+The p shifted terms on a grid come from one function, _p_term_rows: rows
+of one p, each with its own argument scale and m, in one jacobi_eval
+call, combined per group of rows.  Each family's combination (the signed
+sum or the product of the table above) is picked in one place, _combine.
+The paper's sums (_sum_routes) are its reciprocals and its sums of cubes,
+and _slope, the derivative in the argument, is the same combination of
+the termwise derivatives (the product rule for even sn).  They serve the
+right-hand sides here (transform_rhs and the identity batch) and the
+superposed solutions psi of :mod:`landen.sine_gordon`, which are the same
+combinations with other scale factors.
 
 Batches: the argument scale, the shift step and m~ depend on (p, m) alone,
 and jacobi_eval takes an array m.  So verify's family scope checks each p
@@ -156,32 +159,33 @@ def _sum_routes(p, ms, terms, families):
     """{family: [m~ by the paper's sums at each m of ms]} at term count p.
 
     terms are (sn, cn, dn) at the p shift points, one column per m of ms
-    (0 < m < 1): _identity_residuals' x = 0 column.  The sums run along the
-    term axis, so each value is bit-identical to a one-cell evaluation.
+    (0 < m < 1): _identity_residuals' x = 0 column.  Each normalization is
+    the reciprocal of a family's _combine of them, each cubic sum (A1..A4)
+    its _combine of their cubes; odd sn reads the dn and cn normalizations
+    (a1, a3), even sn the dn one and the product A5 of the interior terms.
+    The sums run along the term axis, so each value is bit-identical to a
+    one-cell evaluation.
     """
-    odd = p % 2 == 1
     one, two, md = _LD.type(1), _LD.type(2), _LD.type(ms)
-    sn, cn, dn = terms
+    cubes = [t ** 3 for t in terms]
 
     routes = {}
     for family in families:
-        if family is Family.DN:
-            alpha = one / _csum(dn)
-            m_tilde = (md - two) * alpha ** 2 + two * alpha ** 3 * _csum(dn ** 3)
-        elif family is Family.CN and odd:
-            alpha = one / _csum(cn)
-            a_sum = _csum(cn ** 3)
+        spec = LandenSpec(family, p)
+        # sn's a1 (odd p) and a2 (even p) are the dn family's normalizations
+        alpha = one / _combine(LandenSpec(Family.DN, p) if family is Family.SN else spec, terms)
+        if family is Family.SN and spec.odd:
+            a3 = one / _combine(LandenSpec(Family.CN, p), terms)
+            m_tilde = md * alpha ** 2 / a3 ** 2
+        elif family is Family.SN:
+            m_tilde = md ** p * alpha ** 4 * np.prod(terms[0][1:], axis=0) ** 4
+        elif family is Family.CN and spec.odd:
+            a_sum = _combine(spec, cubes)
             m_tilde = md / ((one - two * md) * alpha ** 2 + two * md * alpha ** 3 * a_sum)
-        elif family is Family.CN:
-            alpha = one / _csum(_alternate(dn))
-            a_sum = _csum(_alternate(dn ** 3))
-            m_tilde = one / ((md - two) * alpha ** 2 + two * alpha ** 3 * a_sum)
-        elif odd:
-            a1, a3 = one / _csum(dn), one / _csum(cn)
-            m_tilde = md * a1 ** 2 / a3 ** 2
         else:
-            a2 = one / _csum(dn)
-            m_tilde = md ** p * a2 ** 4 * np.prod(sn[1:], axis=0) ** 4
+            m_tilde = (md - two) * alpha ** 2 + two * alpha ** 3 * _combine(spec, cubes)
+            if family is Family.CN:
+                m_tilde = one / m_tilde
         routes[family] = [float(value) for value in m_tilde]
     return routes
 
@@ -191,47 +195,45 @@ def _alternate(rows):
     return [-row if i % 2 else row for i, row in enumerate(rows)]
 
 
-def _combine(spec, terms, m, derivative=False):
+def _combine(spec, terms):
     """The family's combination of the shifted terms (sn, cn, dn) of
-    _p_term_rows, along the term axis.
+    _p_term_rows, along the term axis: the one place that picks a family's
+    terms and signs.
 
     Even sn multiplies its sn terms; every other family takes their
     compensated sum, of dn (dn, and even cn with alternating signs), cn
-    (odd cn) or sn (odd sn).  With derivative=True the derivative in the
-    argument comes back too; the product's derivative costs O(p^2), so it
-    is left out unless asked for.  m broadcasts against one term.
+    (odd cn) or sn (odd sn).
     """
-    family, p, odd = spec.family, spec.p, spec.odd
     sn, cn, dn = terms
+    if spec.family is Family.SN and not spec.odd:
+        return np.prod(sn, axis=0)
+    if spec.family is Family.CN:
+        return _csum(cn if spec.odd else _alternate(dn))
+    return _csum(sn if spec.family is Family.SN else dn)
 
-    if family is Family.SN and not odd:
-        prod = np.ones_like(sn[0])
-        for row in sn:
-            prod = prod * row
-        if not derivative:
-            return prod
+
+def _slope(spec, terms, m):
+    """d/du of _combine(spec, terms) at the terms' arguments u, at
+    parameter m.
+
+    A sum kind is the same combination of the termwise derivatives
+    (sn' = cn dn, cn' = -sn dn, dn' = -m sn cn).  The product of even sn
+    takes the product rule, at O(p^2) cost.
+    """
+    sn, cn, dn = terms
+    if spec.family is Family.SN and not spec.odd:
         dterms = []
-        for j in range(p):
+        for j in range(spec.p):
             term = cn[j] * dn[j]
-            for k in range(p):
+            for k in range(spec.p):
                 if k != j:
                     term = term * sn[k]
             dterms.append(term)
-        return prod, _csum(dterms)
-
-    if family is Family.SN:
-        rows, slope = sn, lambda: cn * dn
-    elif family is Family.CN and odd:
-        rows, slope = cn, lambda: (-sn) * dn
-    else:
-        rows, slope = dn, lambda: (-_LD.type(m)) * sn * cn
-    signed = _alternate if family is Family.CN and not odd else list
-    if not derivative:
-        return _csum(signed(rows))
-    return _csum(signed(rows)), _csum(signed(slope()))
+        return _csum(dterms)
+    return _combine(spec, (cn * dn, (-sn) * dn, (-_LD.type(m)) * sn * cn))
 
 
-def _p_term_rows(p, inners, ms, xs, groups, derivative=False):
+def _p_term_rows(p, inners, ms, xs, groups):
     """The p shifted terms of rows j at inners[j] * xs[j] and parameter ms[j]
     (0 <= m < 1), in one jacobi_eval call, and their combinations.
 
@@ -246,7 +248,8 @@ def _p_term_rows(p, inners, ms, xs, groups, derivative=False):
     ([combination per group], (sn, cn, dn) of shape (p, rows) + x shape);
     row i of the term axis is the i-th shifted term, so row-ordered sums and
     products keep the term order, and every value is bit-identical to a call
-    for its row alone.
+    for its row alone.  Readers of other combinations of the same terms
+    (_slope, _sum_routes) take them from the returned terms.
     """
     xs = np.array(xs, dtype=_LD)
     shape = (-1,) + (1,) * (xs.ndim - 1)
@@ -255,8 +258,7 @@ def _p_term_rows(p, inners, ms, xs, groups, derivative=False):
     shifts = np.arange(p, dtype=_LD).reshape((-1,) + (1,) * xs.ndim) * step
     args = np.reshape(np.array(inners, dtype=_LD), shape) * xs + shifts
     terms = jacobi_eval(args, ms, dtype=_LD)
-    return [_combine(spec, [t[:, rows] for t in terms], ms[rows], derivative)
-            for spec, rows in groups], terms
+    return [_combine(spec, [t[:, rows] for t in terms]) for spec, rows in groups], terms
 
 
 def _normalised(raw, spec, combo):

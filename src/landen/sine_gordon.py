@@ -42,7 +42,8 @@ from enum import Enum
 import numpy as np
 
 from .elliptic import _PI, jacobi_eval
-from .general import _LD, Family, LandenSpec, _p_term_rows, _period_width, _raw_coefficients
+from .general import (_LD, Family, LandenSpec, _p_term_rows, _period_width, _raw_coefficients,
+                      _slope)
 from .nome import _validate_m
 
 __all__ = [
@@ -211,8 +212,9 @@ def _psi_rows(fams, xs):
     solutions of one p and of any kinds.
 
     The xs share one shape.  Every solution with m < 1 is one row of one
-    general._p_term_rows call, and one group of its own there, so each row
-    is bit-identical to a call for that solution alone.  At the separatrix
+    general._p_term_rows call, and one group of its own there: psi is its
+    _combine, and psi' is general._slope of the same row's terms, so each
+    row is bit-identical to a call for that solution alone.  At the separatrix
     m = 1, jacobi_eval gives (tanh, sech, sech): psi = tanh, psi' = sech^2
     for the sn kinds, psi = sech, psi' = -sech tanh for the others.
     """
@@ -226,12 +228,13 @@ def _psi_rows(fams, xs):
         rows[j] = (tanh, sech * sech) if fam.family is Family.SN else (sech, -sech * tanh)
     if batch:
         prefactors, inners = zip(*(_pieces(fams[j]) for j in batch))
-        combos, _ = _p_term_rows(fams[0].p, inners, [fams[j].m for j in batch],
-                                 [xs[j] for j in batch],
-                                 [(fams[j].spec, i) for i, j in enumerate(batch)],
-                                 derivative=True)
-        for j, prefactor, inner, (combo, slope) in zip(batch, prefactors, inners, combos):
-            rows[j] = prefactor * combo, prefactor * inner * slope
+        specs = [fams[j].spec for j in batch]
+        combos, terms = _p_term_rows(fams[0].p, inners, [fams[j].m for j in batch],
+                                     [xs[j] for j in batch],
+                                     [(spec, i) for i, spec in enumerate(specs)])
+        for i, j in enumerate(batch):
+            slope = _slope(specs[i], [t[:, i] for t in terms], fams[j].m)
+            rows[j] = prefactors[i] * combos[i], prefactors[i] * inners[i] * slope
     return rows
 
 
@@ -286,11 +289,8 @@ def _c_samples(fam, psi, dpsi):
     psi, dpsi = psi[keep], dpsi[keep]
     one = _LD.type(1)
     ratio = 4 * dpsi * dpsi / (one - psi * psi)
-    if fam.sign_convention is SignConvention.STATIC:
-        c = 2 - 4 * psi * psi + ratio
-    else:
-        c = -2 + 4 * psi * psi + ratio
-    return np.asarray(c, dtype=np.float64)
+    sign = 1 if fam.sign_convention is SignConvention.STATIC else -1
+    return np.asarray(sign * (2 - 4 * psi * psi) + ratio, dtype=np.float64)
 
 
 def first_integral(fam: SolutionFamily, x_samples) -> FirstIntegralValue:
@@ -436,9 +436,6 @@ def ode_residual(fam: SolutionFamily, grid_points: int = 256) -> OdeResidual:
 
     d2 = (-phi[:-4] + 16 * phi[1:-3] - 30 * phi[2:-2] + 16 * phi[3:-1] - phi[4:]) \
         / (12 * _LD.type(h) ** 2)
-    rhs = np.sin(phi[2:-2])
-    if fam.sign_convention is SignConvention.STATIC:
-        residual = np.abs(d2 - rhs)
-    else:
-        residual = np.abs(d2 + rhs)
+    sign = 1 if fam.sign_convention is SignConvention.STATIC else -1
+    residual = np.abs(d2 - sign * np.sin(phi[2:-2]))
     return OdeResidual(max_abs=float(residual.max()), step=float(h))

@@ -83,7 +83,7 @@ def dump():
     general |= {f"{fn.__name__} {m!r}": capture(lambda: fn(m))
                 for fn in (m_tilde_closed_p3, m_tilde_closed_p4) for m in GENERAL_M}
     functions = (lambda fam: psi_value(fam, np.linspace(-3, 3, 17)),
-                 lambda fam: psi_derivative(fam, 0.3),
+                 lambda fam: psi_derivative(fam, np.linspace(-3, 3, 17)),
                  lambda fam: first_integral(fam, default_samples(fam, 65)), solution_period,
                  closed_form_c)
     elliptic = {}
