@@ -24,12 +24,12 @@ _HOMES = {
     "classic": ("ClassicLandenResult", "classic_cn", "classic_dn", "classic_dn_two_term",
                 "classic_m_tilde", "classic_sn"),
     "nome": ("AlternatingSumDegenerateError", "Family", "LandenCoefficients",
-             "LandenSpec", "coefficients"),
+             "LandenSpec", "SolutionKind", "coefficients"),
     "general": ("IdentityResidual", "a5_product", "m_tilde_closed_p3", "m_tilde_closed_p4",
                 "sum_route_m_tilde", "transform_rhs", "verify_identity"),
     "sine_gordon": ("Branch", "BranchClassification", "FirstIntegralValue",
                     "NoClosedFormError", "NotMeasurableError", "OdeResidual",
-                    "SignConvention", "SolutionFamily", "SolutionKind", "classify",
+                    "SignConvention", "SolutionFamily", "classify",
                     "closed_form_c", "default_samples", "first_integral",
                     "first_integral_samples", "ode_residual", "psi_derivative",
                     "psi_value", "solution_kind", "solution_period"),

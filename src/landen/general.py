@@ -23,10 +23,12 @@ a second route, :func:`sum_route_m_tilde`, which verify checks against the
 first.  For p = 2 every family collapses to the classical quadratic map of
 :mod:`landen.classic`.
 
-The p shifted terms on a grid come from one function, _p_term_rows: rows
-of one p, each with its own argument scale and m, in one jacobi_eval
-call, combined per group of rows.  Each family's combination (the signed
-sum or the product of the table above) is picked in one place, _combine.
+The six rows of the table above are the rows of landen.nome.SolutionKind
+(LandenSpec.kind), and every per-kind rule reads its row.  The p shifted
+terms on a grid come from one function, _p_term_rows: rows of one p, each
+with its own argument scale and m, in one jacobi_eval call; each caller
+combines the rows it reads.  A kind's combination is _combine, its row's
+term under its signs (the signed sum or the product of the table).
 The paper's sums (_sum_routes) are its reciprocals and its sums of cubes,
 and _slope, the derivative in the argument, is the same combination of
 the termwise derivatives (the product rule for even sn).  They serve the
@@ -67,7 +69,7 @@ import numpy as np
 
 from .elliptic import complete_elliptic_k, jacobi_eval
 from .nome import (CN_EVEN_MIN_M, AlternatingSumDegenerateError, Family,
-                   LandenCoefficients, LandenSpec, _coefficient_set, _open_at_zero,
+                   LandenCoefficients, LandenSpec, SolutionKind, _coefficient_set,
                    _validate_m, coefficients)
 
 __all__ = [
@@ -145,7 +147,7 @@ def sum_route_m_tilde(spec: LandenSpec, m) -> float:
     even cn at small m and large p) it raises ArithmeticError.
     """
     m = _validate_m(m, below_one=True, above_zero=True, what="sum-route parameter m")
-    _, terms = _p_term_rows(spec.p, [1], [m], [0], [])
+    terms = _p_term_rows(spec.p, [1], [m], [0])
     try:
         with np.errstate(divide="raise", invalid="raise"):
             return _sum_routes(spec.p, [m], terms, (spec.family,))[spec.family][0]
@@ -160,7 +162,7 @@ def _sum_routes(p, ms, terms, families):
 
     terms are (sn, cn, dn) at the p shift points, one column per m of ms
     (0 < m < 1): _identity_residuals' x = 0 column.  Each normalization is
-    the reciprocal of a family's _combine of them, each cubic sum (A1..A4)
+    the reciprocal of a kind's _combine of them, each cubic sum (A1..A4)
     its _combine of their cubes; odd sn reads the dn and cn normalizations
     (a1, a3), even sn the dn one and the product A5 of the interior terms.
     The sums run along the term axis, so each value is bit-identical to a
@@ -171,20 +173,21 @@ def _sum_routes(p, ms, terms, families):
 
     routes = {}
     for family in families:
-        spec = LandenSpec(family, p)
+        kind = LandenSpec(family, p).kind
         # sn's a1 (odd p) and a2 (even p) are the dn family's normalizations
-        alpha = one / _combine(LandenSpec(Family.DN, p) if family is Family.SN else spec, terms)
-        if family is Family.SN and spec.odd:
-            a3 = one / _combine(LandenSpec(Family.CN, p), terms)
+        alpha = one / _combine(LandenSpec(Family.DN, p).kind if family is Family.SN else kind,
+                               terms)
+        if kind is SolutionKind.SN_ODD:
+            a3 = one / _combine(SolutionKind.CN_ODD, terms)
             m_tilde = md * alpha ** 2 / a3 ** 2
-        elif family is Family.SN:
+        elif kind is SolutionKind.SN_EVEN_PROD:
             m_tilde = md ** p * alpha ** 4 * np.prod(terms[0][1:], axis=0) ** 4
-        elif family is Family.CN and spec.odd:
-            a_sum = _combine(spec, cubes)
+        elif kind is SolutionKind.CN_ODD:
+            a_sum = _combine(kind, cubes)
             m_tilde = md / ((one - two * md) * alpha ** 2 + two * md * alpha ** 3 * a_sum)
         else:
-            m_tilde = (md - two) * alpha ** 2 + two * alpha ** 3 * _combine(spec, cubes)
-            if family is Family.CN:
+            m_tilde = (md - two) * alpha ** 2 + two * alpha ** 3 * _combine(kind, cubes)
+            if kind is SolutionKind.CN_EVEN_ALT:
                 m_tilde = one / m_tilde
         routes[family] = [float(value) for value in m_tilde]
     return routes
@@ -195,25 +198,22 @@ def _alternate(rows):
     return [-row if i % 2 else row for i, row in enumerate(rows)]
 
 
-def _combine(spec, terms):
-    """The family's combination of the shifted terms (sn, cn, dn) of
-    _p_term_rows, along the term axis: the one place that picks a family's
-    terms and signs.
+def _combine(kind, terms):
+    """The kind's combination of the shifted terms (sn, cn, dn) of
+    _p_term_rows, along the term axis: its row's term, under its signs.
 
-    Even sn multiplies its sn terms; every other family takes their
-    compensated sum, of dn (dn, and even cn with alternating signs), cn
-    (odd cn) or sn (odd sn).
+    The product of even sn multiplies its sn terms; every other kind takes
+    the compensated sum of its term, dn (dn, and even cn with alternating
+    signs), cn (odd cn) or sn (odd sn).
     """
-    sn, cn, dn = terms
-    if spec.family is Family.SN and not spec.odd:
-        return np.prod(sn, axis=0)
-    if spec.family is Family.CN:
-        return _csum(cn if spec.odd else _alternate(dn))
-    return _csum(sn if spec.family is Family.SN else dn)
+    rows = terms[kind.term]
+    if kind.signs == "product":
+        return np.prod(rows, axis=0)
+    return _csum(_alternate(rows) if kind.signs == "alternating" else rows)
 
 
-def _slope(spec, terms, m):
-    """d/du of _combine(spec, terms) at the terms' arguments u, at
+def _slope(kind, terms, m):
+    """d/du of _combine(kind, terms) at the terms' arguments u, at
     parameter m.
 
     A sum kind is the same combination of the termwise derivatives
@@ -221,21 +221,21 @@ def _slope(spec, terms, m):
     takes the product rule, at O(p^2) cost.
     """
     sn, cn, dn = terms
-    if spec.family is Family.SN and not spec.odd:
+    if kind.signs == "product":
         dterms = []
-        for j in range(spec.p):
+        for j in range(len(sn)):
             term = cn[j] * dn[j]
-            for k in range(spec.p):
+            for k in range(len(sn)):
                 if k != j:
                     term = term * sn[k]
             dterms.append(term)
         return _csum(dterms)
-    return _combine(spec, (cn * dn, (-sn) * dn, (-_LD.type(m)) * sn * cn))
+    return _combine(kind, (cn * dn, (-sn) * dn, (-_LD.type(m)) * sn * cn))
 
 
-def _p_term_rows(p, inners, ms, xs, groups):
+def _p_term_rows(p, inners, ms, xs):
     """The p shifted terms of rows j at inners[j] * xs[j] and parameter ms[j]
-    (0 <= m < 1), in one jacobi_eval call, and their combinations.
+    (0 <= m < 1), in one jacobi_eval call.
 
     The terms sit at inners[j] * xs[j] + i step, i = 0..p-1, with the step
     4K/p for odd p and 2K/p for even p.  The step is formed here alone, from
@@ -243,13 +243,11 @@ def _p_term_rows(p, inners, ms, xs, groups):
     kernel folds by.  Shifts of the exact K would miss it by the kernel's
     rounding of K, and the cancelling sums (odd cn at small m~) show it.
 
-    The xs share one shape.  Each (spec, rows) of groups, rows an index or a
-    slice of the rows, gives one _combine over those rows' terms.  Returns
-    ([combination per group], (sn, cn, dn) of shape (p, rows) + x shape);
-    row i of the term axis is the i-th shifted term, so row-ordered sums and
-    products keep the term order, and every value is bit-identical to a call
-    for its row alone.  Readers of other combinations of the same terms
-    (_slope, _sum_routes) take them from the returned terms.
+    The xs share one shape.  Returns (sn, cn, dn) of shape (p, rows) +
+    x shape; row i of the term axis is the i-th shifted term, so row-ordered
+    sums and products keep the term order, and every value is bit-identical
+    to a call for its row alone.  Each caller combines the rows it reads
+    (_combine, _slope, _sum_routes).
     """
     xs = np.array(xs, dtype=_LD)
     shape = (-1,) + (1,) * (xs.ndim - 1)
@@ -257,13 +255,12 @@ def _p_term_rows(p, inners, ms, xs, groups):
     step = _LD.type(4 if p % 2 else 2) * complete_elliptic_k(ms, dtype=_LD) / _LD.type(p)
     shifts = np.arange(p, dtype=_LD).reshape((-1,) + (1,) * xs.ndim) * step
     args = np.reshape(np.array(inners, dtype=_LD), shape) * xs + shifts
-    terms = jacobi_eval(args, ms, dtype=_LD)
-    return [_combine(spec, [t[:, rows] for t in terms]) for spec, rows in groups], terms
+    return jacobi_eval(args, ms, dtype=_LD)
 
 
-def _normalised(raw, spec, combo):
+def _normalised(raw, kind, combo):
     """The combination scaled to compare with the single function at m~."""
-    if spec.family is Family.SN and not spec.odd:
+    if kind.signs == "product":
         return combo / (raw.a_sum * raw.alpha)
     return raw.alpha * combo
 
@@ -278,12 +275,14 @@ def transform_rhs(spec: LandenSpec, m, x):
     step diverges with K(m) at m = 1, and in (0, 1) for odd cn and sn,
     whose normalization diverges at m = 0.
     """
-    m = _validate_m(m, below_one=True, above_zero=_open_at_zero(spec),
+    kind = spec.kind
+    m = _validate_m(m, below_one=True, above_zero=kind.open_at_zero,
                     what="parameter m of a right-hand side (its shift step diverges at m = 1)")
     scalar = np.ndim(x) == 0
     raw = _raw_coefficients(spec, m)
-    [combo], _ = _p_term_rows(spec.p, [raw.arg_scale], [m], [x], [(spec, 0)])
-    value = np.asarray(_normalised(raw, spec, combo), dtype=np.float64)
+    terms = _p_term_rows(spec.p, [raw.arg_scale], [m], [x])
+    combo = _combine(kind, [t[:, 0] for t in terms])
+    value = np.asarray(_normalised(raw, kind, combo), dtype=np.float64)
     return value[()] if scalar else value
 
 
@@ -299,14 +298,10 @@ def verify_identity(spec: LandenSpec, m, grid_points: int = 128) -> IdentityResi
     """
     if grid_points < 16:
         raise ValueError(f"grid_points must be at least 16, got {grid_points}")
-    m = _validate_m(m, below_one=True, above_zero=_open_at_zero(spec),
+    m = _validate_m(m, below_one=True, above_zero=spec.kind.open_at_zero,
                     what="parameter m of an identity (its period diverges at m = 1)")
     residuals, _, _ = _identity_residuals(spec.p, [m], grid_points, (spec.family,))
     return residuals[spec.family][0]
-
-
-def _period_width(family):
-    return 2.0 if family is Family.DN else 4.0
 
 
 def _identity_residuals(p, ms, grid_points, families):
@@ -328,22 +323,22 @@ def _identity_residuals(p, ms, grid_points, families):
 
     shared = raws[specs[0]]
     m_tildes = [float(raw.m_tilde) for raw in shared]
-    widths = sorted({_period_width(family) for family in families})
+    widths = sorted({spec.kind.width for spec in specs})
     blocks = {width: slice(g * len(ms), (g + 1) * len(ms)) for g, width in enumerate(widths)}
     spans = [width * float(raw.big_k_tilde) for width in widths for raw in shared]
     xs = np.array([np.linspace(0.0, span, grid_points) for span in spans], dtype=_LD)
 
-    combos, terms = _p_term_rows(
-        p, [raw.arg_scale for raw in shared] * len(widths), list(ms) * len(widths), xs,
-        [(spec, blocks[_period_width(spec.family)]) for spec in specs])
+    terms = _p_term_rows(p, [raw.arg_scale for raw in shared] * len(widths),
+                         list(ms) * len(widths), xs)
     lhs = jacobi_eval(xs, np.reshape(m_tildes * len(widths), (-1, 1)), dtype=_LD)
 
     residuals = {}
-    for spec, combo in zip(specs, combos):
-        block = blocks[_period_width(spec.family)]
+    for spec in specs:
+        kind, block = spec.kind, blocks[spec.kind.width]
+        combo = _combine(kind, [t[:, block] for t in terms])
         single = getattr(lhs, spec.family.value)[block]
         residuals[spec.family] = [
-            _residual(_normalised(raw, spec, rhs), lhs_j, span)
+            _residual(_normalised(raw, kind, rhs), lhs_j, span)
             for raw, rhs, lhs_j, span in zip(raws[spec], combo, single, spans[block])]
     return residuals, m_tildes, [t[:, :len(ms), 0] for t in terms]
 
@@ -359,29 +354,34 @@ def m_tilde_closed_p3(m):
 
     Returns m (1-q)^2 / [(1+q)^2 (1+2q)^2] with q = dn(2K/3, m), after
     checking the quartic q^4 + 2q^3 - 2(1-m)q - (1-m) = 0 that q must
-    satisfy (residual below 1e-12, else ArithmeticError).
+    satisfy (residual below 1e-12, else ArithmeticError).  1 - q is taken
+    as m sn^2(2K/3) / (1 + q) (from dn^2 = 1 - m sn^2), which keeps the
+    relative accuracy where q is near 1 at small m.
     """
     m = _validate_m(m, below_one=True, above_zero=True, what="closed-form parameter m")
     big_k = complete_elliptic_k(m, dtype=_LD)
-    q = jacobi_eval(2 * big_k / 3, m, dtype=_LD).dn
+    sn, _, q = jacobi_eval(2 * big_k / 3, m, dtype=_LD)
     mp1 = _LD.type(1.0 - m)
     quartic = q ** 4 + 2 * q ** 3 - 2 * mp1 * q - mp1
     if abs(float(quartic)) >= 1e-12:
         raise ArithmeticError(
             f"quartic consistency check failed at m = {m!r}: residual {float(quartic):.3e}")
-    one = _LD.type(1)
-    return float(_LD.type(m) * (one - q) ** 2 / ((one + q) ** 2 * (one + 2 * q) ** 2))
+    one, md = _LD.type(1), _LD.type(m)
+    one_minus_q = md * sn * sn / (one + q)
+    return float(md * one_minus_q ** 2 / ((one + q) ** 2 * (one + 2 * q) ** 2))
 
 
 def m_tilde_closed_p4(m):
     """Closed-form transformed parameter for p = 4: (1-t)^4 / (1+t)^4 with
     t = (1-m)^(1/4).
 
-    Checks dn(K/2) = dn(3K/2) = t and dn(K) = t^2 to 1e-12 first.
+    Checks dn(K/2) = dn(3K/2) = t and dn(K) = t^2 to 1e-12 first.  1 - t
+    is taken as m / ((1 + t)(1 + t^2)), which keeps the relative accuracy
+    where t is near 1 at small m.
     """
     m = _validate_m(m, below_one=True, above_zero=True, what="closed-form parameter m")
     t = _LD.type(1.0 - m) ** _LD.type(0.25)
-    _, terms = _p_term_rows(4, [1], [m], [0], [])
+    terms = _p_term_rows(4, [1], [m], [0])
     _, half, full, three_half = terms.dn[:, 0]
     worst = max(abs(float(half - t)), abs(float(three_half - t)),
                 abs(float(full - t * t)))
@@ -389,7 +389,8 @@ def m_tilde_closed_p4(m):
         raise ArithmeticError(
             f"quarter-period dn consistency check failed at m = {m!r}: {worst:.3e}")
     one = _LD.type(1)
-    return float((one - t) ** 4 / (one + t) ** 4)
+    one_minus_t = _LD.type(m) / ((one + t) * (one + t * t))
+    return float(one_minus_t ** 4 / (one + t) ** 4)
 
 
 def a5_product(p: int, m):
@@ -399,8 +400,8 @@ def a5_product(p: int, m):
     At m = 0 this is the classical sine product sin(pi/p) ... and equals
     p / 2^(p-1) to rounding.  p must be even and pass LandenSpec's check.
     """
-    if LandenSpec(Family.SN, p).odd:
+    if LandenSpec(Family.SN, p).kind is SolutionKind.SN_ODD:
         raise ValueError(f"a5_product requires an even p, got {p!r}")
     m = _validate_m(m, below_one=True, what="a5_product parameter m")
-    _, terms = _p_term_rows(p, [1], [m], [0], [])
+    terms = _p_term_rows(p, [1], [m], [0])
     return float(np.prod(terms.sn[1:]))

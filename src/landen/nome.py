@@ -23,8 +23,11 @@ exponent of a large argument.  ``landen coeffs``, ``landen table`` and
 ``landen eval`` run on this module alone.
 
 It also holds the types that name a transformation (Family, LandenSpec,
-LandenCoefficients) and the one m-range check, ``_validate_m``, which
-imports numpy only for an array m.  The records are
+LandenCoefficients), the one m-range check, ``_validate_m``, which
+imports numpy only for an array m, and the paper's table of six
+(family, parity) cells, SolutionKind: each row holds the cell's term and
+sign pattern and what follows from them, and every per-cell rule of the
+package reads its row.  The records are
 ``collections.namedtuple`` subclasses, the one record idiom of the
 package: they cost no import that the interpreter has not already made,
 where a record library that loads ``inspect`` would be a sizeable share
@@ -51,6 +54,7 @@ from enum import Enum
 
 __all__ = [
     "Family",
+    "SolutionKind",
     "LandenSpec",
     "LandenCoefficients",
     "AlternatingSumDegenerateError",
@@ -92,6 +96,39 @@ class Family(str, Enum):
     SN = "sn"
 
 
+class SolutionKind(Enum):
+    """The six (family, parity) cells of the generalized Landen formulas:
+    dn (E5, E23), cn (E29, E33) and sn (E49, E55), one per parity of p.
+
+    Each row names the cell (verify's record names carry the value) and
+    holds its `family`, whether p is `odd`, its `term` (the position of
+    the shifted function in (sn, cn, dn)) and its `signs` ("sum",
+    "alternating" or "product").  From those follow `open_at_zero` (the
+    normalization diverges at m = 0: odd cn and sn), `width` (the period
+    of the single function in units of K(m~)) and `traveling` (the sn
+    solutions obey the traveling reduction of the sine-Gordon equation).
+    """
+
+    DN_ODD = "dn-odd", Family.DN, True, 2, "sum"
+    DN_EVEN = "dn-even", Family.DN, False, 2, "sum"
+    CN_ODD = "cn-odd", Family.CN, True, 1, "sum"
+    CN_EVEN_ALT = "cn-even-alt", Family.CN, False, 2, "alternating"
+    SN_ODD = "sn-odd", Family.SN, True, 0, "sum"
+    SN_EVEN_PROD = "sn-even-prod", Family.SN, False, 0, "product"
+
+    def __new__(cls, value, family, odd, term, signs):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.family, kind.odd, kind.term, kind.signs = family, odd, term, signs
+        kind.open_at_zero = odd and family is not Family.DN
+        kind.width = 2.0 if family is Family.DN else 4.0
+        kind.traveling = family is Family.SN
+        return kind
+
+
+_KINDS = {(kind.family, kind.odd): kind for kind in SolutionKind}
+
+
 class AlternatingSumDegenerateError(ValueError):
     """Alternating-sum normalization degenerate (even cn family, m -> 0)."""
 
@@ -115,12 +152,10 @@ class LandenSpec(namedtuple("LandenSpec", "family p")):
     def odd(self) -> bool:
         return self.p % 2 == 1
 
-
-def _open_at_zero(spec):
-    """Whether the family's p-term side takes m in (0, 1) rather than
-    [0, 1): odd cn and odd sn, whose normalization diverges at m = 0
-    (_limit_set).  Callers pass it to _validate_m as above_zero."""
-    return spec.odd and spec.family is not Family.DN
+    @property
+    def kind(self) -> SolutionKind:
+        """The row of the (family, parity) table that this selector picks."""
+        return _KINDS[self.family, self.odd]
 
 
 class LandenCoefficients(namedtuple("LandenCoefficients", "alpha a_sum m_tilde arg_scale")):
@@ -382,21 +417,21 @@ def _nome_route(p, m):
 def _limit_set(spec, m):
     """The family's coefficients at a checked m = 0 or m = 1, as Decimals:
     the analytic limits."""
-    family, p, odd = spec.family, int(spec.p), spec.odd
+    kind, p = spec.kind, int(spec.p)
     one, inf = Decimal(1), Decimal("Infinity")
     if m == 1.0:
         # Hyperbolic limit: only the unshifted term survives (all shifted
         # arguments run off to infinity where sech vanishes, tanh -> 1).
-        a_sum = None if (family is Family.SN and odd) else one
+        a_sum = None if kind is SolutionKind.SN_ODD else one
         return _CoefficientSet(one, a_sum, one, one, inf)
 
     with localcontext(_context()):
         big_k, inv_p, zero = _big_k(0.0), one / p, Decimal(0)
-        if family is Family.DN:
+        if kind.family is Family.DN:
             return _CoefficientSet(inv_p, Decimal(p), zero, inv_p, big_k)
-        if family is Family.SN and not odd:
+        if kind is SolutionKind.SN_EVEN_PROD:
             return _CoefficientSet(inv_p, Decimal(p) / 2 ** (p - 1), zero, inv_p, big_k)
-    if family is Family.SN:
+    if kind is SolutionKind.SN_ODD:
         # sum of equally spaced cosines vanishes, so a3 diverges; the
         # parameter map still has the clean limit m~ = 0 and the inner
         # scale a1 -> 1/p.
@@ -410,20 +445,19 @@ def _limit_set(spec, m):
     return _CoefficientSet(inf, cubes, zero, Decimal("NaN"), big_k)
 
 
-def _sum_constant(family, p, m, m_tilde, alpha):
-    """The family's sum constant solved from its m~ formula, in the
+def _sum_constant(kind, p, m, m_tilde, alpha):
+    """The kind's sum constant solved from its m~ formula, in the
     arithmetic of m, m_tilde and alpha: A1..A4 from
     m~ = (m - 2) a^2 + 2 a^3 A and its cn forms, A5 from
     m~ = m^p a2^4 A5^4 for even sn, and None for odd sn, whose
     m~ = m a1^2 / a3^2 involves no sum constant."""
-    odd = p % 2 == 1
-    if family is Family.DN:
+    if kind.family is Family.DN:
         return (m_tilde - (m - 2) * alpha ** 2) / (2 * alpha ** 3)
-    if family is Family.CN and odd:
+    if kind is SolutionKind.CN_ODD:
         return (m / m_tilde - (1 - 2 * m) * alpha ** 2) / (2 * m * alpha ** 3)
-    if family is Family.CN:
+    if kind is SolutionKind.CN_EVEN_ALT:
         return (1 / m_tilde - (m - 2) * alpha ** 2) / (2 * alpha ** 3)
-    if odd:
+    if kind is SolutionKind.SN_ODD:
         return None
     ratio = m_tilde / (m ** p * alpha ** 4)
     return ratio ** type(ratio)("0.25")
@@ -448,9 +482,9 @@ def _coefficient_set(spec, m, convert, sqrt):
     float64's smallest normal value (16 q^p underflows, past the route's
     range) or a coefficient is not finite.
     """
-    family, p, odd = spec.family, spec.p, spec.odd
+    family, p, kind = spec.family, spec.p, spec.kind
     m = _validate_m(m)
-    if family is Family.CN and not odd and m < CN_EVEN_MIN_M:
+    if kind is SolutionKind.CN_EVEN_ALT and m < CN_EVEN_MIN_M:
         raise AlternatingSumDegenerateError(
             f"alternating-sum degenerate: for m = {m!r} < {CN_EVEN_MIN_M} every dn "
             "tends to 1 and the alternating normalization underflows")
@@ -464,13 +498,13 @@ def _coefficient_set(spec, m, convert, sqrt):
             f"m~ = 16 q^p = {float(m_tilde)!r} is below the smallest normal "
             f"float64 {float(_TINY)!r}")
     m_tilde, big_k_tilde, s, md = map(convert, (m_tilde, big_k_tilde, s, m))
-    if family is Family.DN or (family is Family.SN and not odd):
+    if family is Family.DN or kind is SolutionKind.SN_EVEN_PROD:
         alpha = s
-    elif odd:
+    elif kind.odd:
         alpha = s * sqrt(md / m_tilde)
     else:
         alpha = s / sqrt(m_tilde)
-    a_sum = _sum_constant(family, p, md, m_tilde, alpha)
+    a_sum = _sum_constant(kind, p, md, m_tilde, alpha)
     if not all(math.isfinite(value) for value in (alpha, s, a_sum or 0)):
         raise ArithmeticError(
             f"{family.value} p = {p} coefficients are not finite at m = {m!r}: "

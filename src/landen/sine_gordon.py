@@ -24,9 +24,11 @@ That consistency (constancy of C, range, closed forms, implied m~) is what
 this module makes checkable.
 
 Each superposition is the p-term side of one (family, parity) cell of
-:mod:`landen.general`: :func:`solution_kind` names it, and psi is that
-side's shifted sum or product with its own prefactor and inner scale.  The
-static kinds are the dn and cn families, the traveling ones the sn family.
+:mod:`landen.general`, a row of the table SolutionKind (defined in
+:mod:`landen.nome`, re-exported here): :func:`solution_kind` looks it up,
+and psi is that side's shifted sum or product with its own prefactor and
+inner scale.  The row says whether the solution is traveling (the sn
+family) or static (dn and cn) and gives its period.
 
 Derivatives of psi are analytic (termwise d/dx of sn, cn, dn), not finite
 differences, so the reported C carries no step-size error.
@@ -42,9 +44,9 @@ from enum import Enum
 import numpy as np
 
 from .elliptic import _PI, jacobi_eval
-from .general import (_LD, Family, LandenSpec, _p_term_rows, _period_width, _raw_coefficients,
+from .general import (_LD, Family, LandenSpec, _combine, _p_term_rows, _raw_coefficients,
                       _slope)
-from .nome import _validate_m
+from .nome import SolutionKind, _validate_m
 
 __all__ = [
     "SolutionKind",
@@ -69,31 +71,10 @@ __all__ = [
     "ode_residual",
 ]
 
-class SolutionKind(Enum):
-    DN_ODD = "dn-odd"
-    DN_EVEN = "dn-even"
-    CN_ODD = "cn-odd"
-    CN_EVEN_ALT = "cn-even-alt"
-    SN_ODD = "sn-odd"
-    SN_EVEN_PROD = "sn-even-prod"
-
-
-# The one (family, p odd) <-> kind table: each superposition is the
-# p-term side of that family's modulus identity.
-_KIND_OF = {
-    (Family.DN, True): SolutionKind.DN_ODD,
-    (Family.DN, False): SolutionKind.DN_EVEN,
-    (Family.CN, True): SolutionKind.CN_ODD,
-    (Family.CN, False): SolutionKind.CN_EVEN_ALT,
-    (Family.SN, True): SolutionKind.SN_ODD,
-    (Family.SN, False): SolutionKind.SN_EVEN_PROD,
-}
-_FAMILY_PARITY = {kind: key for key, kind in _KIND_OF.items()}
-
 
 def solution_kind(family, p) -> SolutionKind:
     """The superposition whose psi is the p-term side of `family`'s identity."""
-    return _KIND_OF[(Family(family), p % 2 == 1)]
+    return LandenSpec(family, p).kind
 
 
 class SignConvention(Enum):
@@ -102,7 +83,8 @@ class SignConvention(Enum):
 
 
 class SolutionFamily(namedtuple("SolutionFamily", "kind p m")):
-    """One superposed solution: kind, term count p, parameter m.
+    """One superposed solution: kind (a SolutionKind or its value), term
+    count p, parameter m.
 
     A plain value: its coefficients are general._raw_coefficients of its
     cell, which that function caches, so equal solutions share one build."""
@@ -110,13 +92,13 @@ class SolutionFamily(namedtuple("SolutionFamily", "kind p m")):
     __slots__ = ()
 
     def __new__(cls, kind, p, m):
-        family, odd = _FAMILY_PARITY[kind]
-        if LandenSpec(family, p).odd != odd:
+        kind = SolutionKind(kind)
+        if LandenSpec(kind.family, p).kind is not kind:
             raise ValueError(
-                f"{kind.value} requires {'odd' if odd else 'even'} "
+                f"{kind.value} requires {'odd' if kind.odd else 'even'} "
                 f"p, got p = {p}")
         # odd cn divides its inner scale by sqrt(m): m = 0 has no solution
-        m = _validate_m(m, above_zero=family is Family.CN and odd)
+        m = _validate_m(m, above_zero=kind is SolutionKind.CN_ODD)
         return super().__new__(cls, kind, p, m)
 
     @classmethod
@@ -126,7 +108,7 @@ class SolutionFamily(namedtuple("SolutionFamily", "kind p m")):
 
     @property
     def family(self) -> Family:
-        return _FAMILY_PARITY[self.kind][0]
+        return self.kind.family
 
     @property
     def spec(self) -> LandenSpec:
@@ -144,8 +126,7 @@ class SolutionFamily(namedtuple("SolutionFamily", "kind p m")):
 
     @property
     def sign_convention(self) -> SignConvention:
-        return (SignConvention.TRAVELING if self.family is Family.SN
-                else SignConvention.STATIC)
+        return SignConvention.TRAVELING if self.kind.traveling else SignConvention.STATIC
 
 
 class FirstIntegralValue(namedtuple("FirstIntegralValue", "c sign_convention spread",
@@ -189,14 +170,14 @@ def _pieces(fam: SolutionFamily):
     is the family's combination of the p shifted terms
     (general._p_term_rows)."""
     m, raw = fam.m, fam._raw
-    if fam.family is Family.SN and fam.spec.odd:
+    if fam.kind is SolutionKind.SN_ODD:
         # only the inner scale a1 and the prefactor sqrt(m) a1 enter; at
         # m = 0 the prefactor vanishes and psi degenerates to 0 cleanly
         prefactor, inner = np.sqrt(_LD.type(m)) * raw.arg_scale, raw.arg_scale
-    elif fam.family is Family.SN:
+    elif fam.kind is SolutionKind.SN_EVEN_PROD:
         prefactor = _LD.type(m) ** (_LD.type(fam.p) / 2) * raw.alpha * raw.a_sum
         inner = raw.alpha
-    elif fam.family is Family.CN and fam.spec.odd:
+    elif fam.kind is SolutionKind.CN_ODD:
         prefactor, inner = raw.alpha, raw.alpha / np.sqrt(_LD.type(m))
     else:
         # dn kinds and the alternating cn kind.  Even cn takes the inner
@@ -212,9 +193,9 @@ def _psi_rows(fams, xs):
     solutions of one p and of any kinds.
 
     The xs share one shape.  Every solution with m < 1 is one row of one
-    general._p_term_rows call, and one group of its own there: psi is its
-    _combine, and psi' is general._slope of the same row's terms, so each
-    row is bit-identical to a call for that solution alone.  At the separatrix
+    general._p_term_rows call: psi is the _combine of its row's terms, and
+    psi' is general._slope of the same terms, so each row is bit-identical
+    to a call for that solution alone.  At the separatrix
     m = 1, jacobi_eval gives (tanh, sech, sech): psi = tanh, psi' = sech^2
     for the sn kinds, psi = sech, psi' = -sech tanh for the others.
     """
@@ -225,16 +206,15 @@ def _psi_rows(fams, xs):
             batch.append(j)
             continue
         tanh, _, sech = jacobi_eval(np.asarray(x, dtype=_LD), 1.0, dtype=_LD)
-        rows[j] = (tanh, sech * sech) if fam.family is Family.SN else (sech, -sech * tanh)
+        rows[j] = (tanh, sech * sech) if fam.kind.traveling else (sech, -sech * tanh)
     if batch:
         prefactors, inners = zip(*(_pieces(fams[j]) for j in batch))
-        specs = [fams[j].spec for j in batch]
-        combos, terms = _p_term_rows(fams[0].p, inners, [fams[j].m for j in batch],
-                                     [xs[j] for j in batch],
-                                     [(spec, i) for i, spec in enumerate(specs)])
+        terms = _p_term_rows(fams[0].p, inners, [fams[j].m for j in batch],
+                             [xs[j] for j in batch])
         for i, j in enumerate(batch):
-            slope = _slope(specs[i], [t[:, i] for t in terms], fams[j].m)
-            rows[j] = prefactors[i] * combos[i], prefactors[i] * inners[i] * slope
+            kind, row = fams[j].kind, [t[:, i] for t in terms]
+            rows[j] = (prefactors[i] * _combine(kind, row),
+                       prefactors[i] * inners[i] * _slope(kind, row, fams[j].m))
     return rows
 
 
@@ -258,7 +238,7 @@ def solution_period(fam: SolutionFamily) -> float:
     """Period of psi in the solution's own coordinate (inf at m = 1)."""
     if fam.m == 1.0:
         return math.inf
-    period = _period_width(fam.family) * float(fam._raw.big_k_tilde)
+    period = fam.kind.width * float(fam._raw.big_k_tilde)
     # psi of a cn kind is cn(x / sqrt(m~), m~): its period carries sqrt(m~)
     return period * math.sqrt(fam.m_tilde) if fam.family is Family.CN else period
 
@@ -338,12 +318,11 @@ def closed_form_c(fam: SolutionFamily) -> float:
     m = 0 (psi = 0, m~ = 0) gives -2.  The even dn and alternating cn kinds,
     which the paper gives only a range, raise NoClosedFormError.
     """
-    family = fam.family
-    if not fam.spec.odd and family is not Family.SN:
+    if fam.kind in (SolutionKind.DN_EVEN, SolutionKind.CN_EVEN_ALT):
         raise NoClosedFormError(
             f"no closed-form C for {fam.kind.value}; only the range is known")
     m_tilde = fam._raw.m_tilde
-    return float(4 / m_tilde - 2 if family is Family.CN else 4 * m_tilde - 2)
+    return float(4 / m_tilde - 2 if fam.kind is SolutionKind.CN_ODD else 4 * m_tilde - 2)
 
 
 _BOUNDARY_BAND = 1e-9

@@ -363,8 +363,9 @@ def rhs_row(s, m, x):
     """transform_rhs before its rounding to float64: the cell as one row of
     _p_term_rows."""
     raw = _raw_coefficients(s, m)
-    [combo], _ = _p_term_rows(s.p, [raw.arg_scale], [m], [x], [(s, 0)])
-    return general._normalised(raw, s, combo)
+    terms = _p_term_rows(s.p, [raw.arg_scale], [m], [x])
+    combo = general._combine(s.kind, [t[:, 0] for t in terms])
+    return general._normalised(raw, s.kind, combo)
 
 
 def neumaier_sum(terms):
@@ -623,6 +624,16 @@ class TestClosedForms:
             closed = m_tilde_closed_p4(m)
             for family in ALL_FAMILIES:
                 assert abs(closed - coefficients(spec(family, 4), m).m_tilde) < 1e-12
+
+    @pytest.mark.parametrize("p", (3, 4))
+    def test_relative_accuracy_against_nome_route(self, nome_route, p):
+        # the closed forms write 1 - q and 1 - t without cancellation, so
+        # they hold their relative accuracy at small m (at m = 1e-14, m~ is
+        # 3.9e-45 for p = 3 and 2.4e-60 for p = 4)
+        closed = {3: m_tilde_closed_p3, 4: m_tilde_closed_p4}[p]
+        for m in (*np.logspace(-14, -1, 27), 0.25, 0.5, 0.75, 0.9):
+            want = nome_route(p, float(m))[0]
+            assert abs(closed(m) - want) <= 1e-15 * want, m
 
     def test_domain(self):
         for fn in (m_tilde_closed_p3, m_tilde_closed_p4):

@@ -34,6 +34,10 @@ ENTRY_POINTS = {
     "a5_product": (lambda m: a5_product(4, m), BELOW_ONE),
     "transform_rhs": (lambda m: transform_rhs(LandenSpec(Family.DN, 3), m, 0.3), BELOW_ONE),
     "verify_identity": (lambda m: verify_identity(LandenSpec(Family.DN, 3), m), BELOW_ONE),
+    "transform_rhs dn p = 4": (lambda m: transform_rhs(LandenSpec(Family.DN, 4), m, 0.3),
+                               BELOW_ONE),
+    "verify_identity dn p = 4": (lambda m: verify_identity(LandenSpec(Family.DN, 4), m),
+                                 BELOW_ONE),
     # odd cn and sn have no finite normalization at m = 0; even sn has
     "transform_rhs cn p = 3": (lambda m: transform_rhs(LandenSpec(Family.CN, 3), m, 0.3), OPEN),
     "transform_rhs sn p = 3": (lambda m: transform_rhs(LandenSpec(Family.SN, 3), m, 0.3), OPEN),
@@ -47,6 +51,12 @@ ENTRY_POINTS = {
     "m_tilde_closed_p3": (m_tilde_closed_p3, OPEN),
     "m_tilde_closed_p4": (m_tilde_closed_p4, OPEN),
     "SolutionFamily": (lambda m: SolutionFamily(SolutionKind.DN_ODD, 3, m), CLOSED),
+    "SolutionFamily dn-even": (lambda m: SolutionFamily(SolutionKind.DN_EVEN, 4, m), CLOSED),
+    "SolutionFamily cn-even-alt": (lambda m: SolutionFamily(SolutionKind.CN_EVEN_ALT, 4, m),
+                                   CLOSED),
+    "SolutionFamily sn-odd": (lambda m: SolutionFamily(SolutionKind.SN_ODD, 3, m), CLOSED),
+    "SolutionFamily sn-even-prod": (lambda m: SolutionFamily(SolutionKind.SN_EVEN_PROD, 4, m),
+                                    CLOSED),
     # odd cn divides by sqrt(m); odd sn stays closed (psi = 0 at m = 0)
     "SolutionFamily cn-odd": (lambda m: SolutionFamily(SolutionKind.CN_ODD, 3, m), ABOVE_ZERO),
     "closed_form_c sn-odd": (lambda m: closed_form_c(SolutionFamily(SolutionKind.SN_ODD, 3, m)),

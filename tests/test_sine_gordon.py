@@ -86,6 +86,13 @@ class TestPsi:
             with pytest.raises(ValueError, match="term count p must be an integer >= 2"):
                 SolutionFamily(kind, p, 0.5)
 
+    def test_kind_given_by_name(self):
+        # the kind is coerced as LandenSpec coerces the family
+        assert SolutionFamily("dn-odd", 3, 0.5) == SolutionFamily(SolutionKind.DN_ODD, 3, 0.5)
+        assert SolutionFamily("sn-even-prod", 4, 0.5).kind is SolutionKind.SN_EVEN_PROD
+        with pytest.raises(ValueError, match="'dn-bogus' is not a valid SolutionKind"):
+            SolutionFamily("dn-bogus", 3, 0.5)
+
     def test_solution_is_a_value_built_once(self, monkeypatch):
         # a plain value: two equal solutions built apart share one
         # coefficient build (general._raw_coefficients caches per cell), and
@@ -148,6 +155,12 @@ def test_solution_kind_round_trips(family, p):
     assert fam.spec == LandenSpec(family, p)
     expected = SignConvention.TRAVELING if family is Family.SN else SignConvention.STATIC
     assert fam.sign_convention is expected
+
+
+@pytest.mark.parametrize("p", [1, 3.0, -1])
+def test_solution_kind_checks_p(p):
+    with pytest.raises(ValueError, match="term count p must be an integer >= 2"):
+        solution_kind("dn", p)
 
 
 def test_solution_kind_names_each_kind_once():
